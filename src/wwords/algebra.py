@@ -14,13 +14,19 @@ degree ``degmax``).  The pieces fit together as
 Monomials are ordered graded-lexicographically; ties inside a degree are
 broken by the variable names themselves (alphabetical), so the order is a
 fixed property of the data and does not depend on construction order.
+
+Every series product in the package runs on one in-place kernel over
+buckets (``list[dict[Monomial, int]]``, index = power of q):
+:func:`_add_shifted` adds a shifted, scaled copy of one series into another,
+and :func:`_factor_step` multiplies or divides by a binomial factor
+``(1 - c*mono*q^n)^|e|`` in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class AlgebraError(ValueError):
@@ -258,24 +264,6 @@ class Polynomial:
             return self
         return Polynomial._raw(kept)
 
-    def substitute_vars(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials (simultaneously)."""
-        out = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            piece = Polynomial.constant(coeff)
-            plain: list[tuple[str, int]] = []
-            for name, exp in mono.items:
-                if name in images:
-                    img = images[name]
-                    for _ in range(exp):
-                        piece = piece * img
-                else:
-                    plain.append((name, exp))
-            if plain:
-                piece = piece.scale(1, Monomial(plain))
-            out = out + piece
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
@@ -316,6 +304,105 @@ class Polynomial:
 
 _POLY_ZERO = Polynomial.zero()
 _POLY_ONE = Polynomial.one()
+
+
+# ---------------------------------------------------------------------------
+# the bucket kernel: list[dict[Monomial, int]], index = power of q
+# ---------------------------------------------------------------------------
+
+
+def _zero_buckets(qmax: int) -> list[dict[Monomial, int]]:
+    if qmax < 0:
+        raise AlgebraError("qmax must be non-negative")
+    return [{} for _ in range(qmax + 1)]
+
+
+def _one_buckets(qmax: int) -> list[dict[Monomial, int]]:
+    out = _zero_buckets(qmax)
+    out[0][_MONOMIAL_ONE] = 1
+    return out
+
+
+def _add_bucket(dst: dict, src: dict, mono: Monomial, coeff: int,
+                limit: int | None) -> None:
+    """dst += coeff * mono * src over the monomials of src with degree at
+    most limit (None: all of them)."""
+    for m, c in src.items():
+        if limit is not None and m._degree > limit:
+            continue
+        m2 = m * mono
+        v = dst.get(m2, 0) + c * coeff
+        if v:
+            dst[m2] = v
+        else:
+            del dst[m2]
+
+
+def _add_shifted(dst: list[dict], src: list[dict], s: int = 0,
+                 mono: Monomial = _MONOMIAL_ONE, coeff: int = 1,
+                 degmax: int | None = None) -> None:
+    """dst += coeff * mono * q^s * src, dropping what lands above dst's last
+    bucket or above colour degree degmax."""
+    if coeff == 1 and not mono._items and degmax is None:
+        for bucket, extra in zip(dst[s:], src):
+            for m, c in extra.items():
+                v = bucket.get(m, 0) + c
+                if v:
+                    bucket[m] = v
+                else:
+                    del bucket[m]
+        return
+    limit = None if degmax is None else degmax - mono._degree
+    if limit is not None and limit < 0:
+        return
+    for bucket, extra in zip(dst[s:], src):
+        if extra:
+            _add_bucket(bucket, extra, mono, coeff, limit)
+
+
+def _factor_step(f: list[dict], c: int, mono: Monomial, n: int, e: int,
+                 degmax: int | None = None) -> None:
+    """Multiply f in place by (1 - c*mono*q^n)^e; a negative e divides.
+
+    One pass for any |e|: multiplying runs from the top bucket down and
+    dividing from the bottom up, and each bucket takes at most
+    min(|e|, qmax/n) binomial terms of (1 - x)^|e|.  At n = 0 the factor is
+    graded by colour degree alone: mono must carry a colour, and dividing
+    needs degmax to stop.
+    """
+    if e == 0:
+        return
+    power, d = abs(e), mono._degree
+    if n == 0:
+        if d == 0:
+            raise ProductSpecError("(1 - c)^e with constant c cannot be expanded")
+        if e < 0 and degmax is None:
+            raise ProductSpecError(
+                "a q^0 factor needs a degmax cap to truncate its expansion")
+        kmax = power if degmax is None else degmax // d
+        if e > 0:
+            kmax = min(kmax, power)
+        old = [dict(b) for b in f]
+        for k in range(1, kmax + 1):
+            coeff = (comb(power, k) * (-c) ** k if e > 0
+                     else comb(power + k - 1, k) * c ** k)
+            _add_shifted(f, old, 0, mono ** k, coeff, degmax)
+        return
+    qmax = len(f) - 1
+    kmax = min(power, qmax // n)
+    if degmax is not None and d:
+        kmax = min(kmax, degmax // d)
+    sign = 1 if e > 0 else -1
+    terms = [(k * n, mono ** k, sign * comb(power, k) * (-c) ** k,
+              None if degmax is None else degmax - k * d)
+             for k in range(1, kmax + 1)]
+    for i in (range(qmax, n - 1, -1) if e > 0 else range(n, qmax + 1)):
+        dst = f[i]
+        for shift, mk, coeff, limit in terms:
+            if shift > i:
+                break
+            if f[i - shift]:
+                _add_bucket(dst, f[i - shift], mk, coeff, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +461,17 @@ class TruncatedSeries:
         s._coeffs = coeffs
         return s
 
+    @classmethod
+    def _from_buckets(cls, buckets: list[dict[Monomial, int]],
+                      degmax: int | None = None) -> "TruncatedSeries":
+        """Wrap kernel buckets, which the caller no longer changes."""
+        return cls._from_raw(len(buckets) - 1,
+                             [Polynomial._raw(b) for b in buckets], degmax)
+
+    def _buckets(self) -> list[dict[Monomial, int]]:
+        """The coefficients as kernel buckets, to be read and not changed."""
+        return [c._terms for c in self._coeffs]
+
     def coefficient(self, n: int) -> Polynomial:
         if not 0 <= n <= self.qmax:
             raise AlgebraError(f"coefficient of q^{n} outside truncation 0..{self.qmax}")
@@ -413,41 +511,15 @@ class TruncatedSeries:
             raise TruncationMismatch(
                 f"cannot multiply series with qmax {self.qmax} and {other.qmax}")
         dm = self._merged_degmax(other)
-        qmax = self.qmax
-        out: list[dict[Monomial, int]] = [dict() for _ in range(qmax + 1)]
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            a_terms = a.terms
-            for j in range(qmax + 1 - i):
-                b = other._coeffs[j]
-                if b.is_zero():
-                    continue
-                bucket = out[i + j]
-                for m1, c1 in a_terms.items():
-                    d1 = m1.degree
-                    for m2, c2 in b.terms.items():
-                        if dm is not None and d1 + m2.degree > dm:
-                            continue
-                        m = m1 * m2
-                        s = bucket.get(m, 0) + c1 * c2
-                        if s:
-                            bucket[m] = s
-                        else:
-                            bucket.pop(m, None)
-        coeffs = [Polynomial._raw(b) for b in out]
-        return TruncatedSeries._from_raw(qmax, coeffs, dm)
-
-    def mul_term(self, n: int, poly: Polynomial) -> "TruncatedSeries":
-        """Multiply by poly * q^n (a single series term)."""
-        if n < 0:
-            raise AlgebraError("q-shift must be non-negative")
-        coeffs = [_POLY_ZERO] * (self.qmax + 1)
-        for i in range(0, self.qmax + 1 - n):
-            c = self._coeffs[i]
-            if not c.is_zero():
-                coeffs[i + n] = (c * poly).cap_degree(self.degmax)
-        return TruncatedSeries._from_raw(self.qmax, coeffs, self.degmax)
+        # one shifted copy of the series with more terms per term of the other
+        small, large = sorted((self, other), key=lambda f: sum(
+            len(c._terms) for c in f._coeffs))
+        out = _zero_buckets(self.qmax)
+        large_buckets = large._buckets()
+        for s, poly in enumerate(small._coeffs):
+            for mono, coeff in poly._terms.items():
+                _add_shifted(out, large_buckets, s, mono, coeff, dm)
+        return TruncatedSeries._from_buckets(out, dm)
 
     def truncate(self, new_qmax: int) -> "TruncatedSeries":
         if new_qmax > self.qmax:
@@ -464,8 +536,30 @@ class TruncatedSeries:
 
     def specialize(self, assignments: Mapping[str, int]) -> "TruncatedSeries":
         """Set named variables to integer values (typically 1)."""
-        images = {name: Polynomial.constant(v) for name, v in assignments.items()}
-        coeffs = [c.substitute_vars(images) for c in self._coeffs]
+        images: dict[Monomial, tuple[Monomial, int]] = {}
+        coeffs = []
+        for poly in self._coeffs:
+            out: dict[Monomial, int] = {}
+            for mono, coeff in poly._terms.items():
+                image = images.get(mono)
+                if image is None:
+                    factor, kept = 1, []
+                    for name, exp in mono._items:
+                        value = assignments.get(name)
+                        if value is None:
+                            kept.append((name, exp))
+                        else:
+                            factor *= value ** exp
+                    image = images[mono] = (
+                        mono if len(kept) == len(mono._items) else Monomial(kept),
+                        factor)
+                key, factor = image
+                v = out.get(key, 0) + coeff * factor
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+            coeffs.append(Polynomial._raw(out))
         return TruncatedSeries._from_raw(self.qmax, coeffs, self.degmax)
 
     def __eq__(self, other: object) -> bool:
@@ -496,15 +590,6 @@ class TruncatedSeries:
         degmax = data.get("degmax")
         coeffs = [Polynomial.from_json(c) for c in data["coefficients"]]
         return cls(qmax, coeffs, None if degmax is None else int(degmax))
-
-
-def series_combine(f: TruncatedSeries, g: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Combine two series with 'add' or 'mul'; truncations must agree."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise AlgebraError(f"unknown combination {op!r} (expected 'add' or 'mul')")
 
 
 # ---------------------------------------------------------------------------
@@ -704,57 +789,15 @@ class ProductSpec:
         return cls(ProductFactor.from_json(f) for f in data)
 
 
-def binomial_factor(sign: int, mono: Monomial, n: int, exponent: int,
-                    qmax: int, degmax: int | None = None) -> TruncatedSeries:
-    """Expand (1 - sign*mono*q^n)^exponent exactly.
-
-    For n = 0 the factor is graded by colour degree alone, which requires
-    mono to be non-constant and degmax to be set.
-    """
-    if n == 0:
-        if mono.degree == 0:
-            raise ProductSpecError("(1 - c)^e with constant c cannot be expanded")
-        if exponent >= 0:
-            kmax = exponent
-            if degmax is not None:
-                kmax = min(kmax, degmax // mono.degree)
-        else:
-            if degmax is None:
-                raise ProductSpecError(
-                    "a q^0 factor needs a degmax cap to truncate its expansion")
-            kmax = degmax // mono.degree
-    else:
-        kmax = qmax // n
-        if degmax is not None and mono.degree > 0:
-            kmax = min(kmax, degmax // mono.degree)
-    coeffs = [_POLY_ZERO] * (qmax + 1)
-    coeffs[0] = _POLY_ONE
-    for k in range(1, kmax + 1):
-        if exponent >= 0:
-            if k > exponent:
-                break
-            c = comb(exponent, k) * ((-sign) ** k)
-        else:
-            c = comb(-exponent + k - 1, k) * (sign ** k)
-        idx = n * k
-        coeffs[idx] = coeffs[idx] + Polynomial.term(mono ** k, c)
-    return TruncatedSeries._from_raw(qmax, coeffs, degmax)
-
-
 def product_expand(spec: ProductSpec, qmax: int,
                    degmax: int | None = None) -> TruncatedSeries:
     """Expand a product specification into a truncated series."""
-    acc = TruncatedSeries.one(qmax, degmax)
+    acc = _one_buckets(qmax)
     for fac in spec.factors:
-        n = fac.start
-        if n == 0:
-            # a start-0 factor occurs once at q^0, then the family continues
-            acc = acc * binomial_factor(fac.sign, fac.mono, 0, -fac.power, qmax, degmax)
-            n += fac.mod
-        while n <= qmax:
-            acc = acc * binomial_factor(fac.sign, fac.mono, n, -fac.power, qmax, degmax)
-            n += fac.mod
-    return acc
+        # a start-0 factor occurs once at q^0, then the family continues
+        for n in range(fac.start, qmax + 1, fac.mod):
+            _factor_step(acc, fac.sign, fac.mono, n, -fac.power, degmax)
+    return TruncatedSeries._from_buckets(acc, degmax)
 
 
 # ---------------------------------------------------------------------------
@@ -775,62 +818,19 @@ def euler_factorize(f: TruncatedSeries) -> list[tuple[Monomial, int, int]]:
     if f.coefficient(0) != _POLY_ONE:
         raise FactorizationError("series constant term must be exactly 1")
     table: list[tuple[Monomial, int, int]] = []
-    rem = f
+    rem = [dict(b) for b in f._buckets()]
     for n in range(1, f.qmax + 1):
-        cn = rem.coefficient(n)
-        if cn.is_zero():
-            continue
-        for mono, t in cn.sorted_terms():
+        # removing one factor leaves the other terms of q^n as they are
+        for mono, t in sorted(rem[n].items(), key=lambda mt: mt[0].sort_key()):
             table.append((mono, n, t))
-            # remove the factor: multiply by (1 - mono q^n)^t
-            rem = rem * binomial_factor(1, mono, n, t, f.qmax, f.degmax)
+            _factor_step(rem, 1, mono, n, t, f.degmax)
     return table
-
-
-def euler_table_to_spec(table: Iterable[tuple[Monomial, int, int]]) -> ProductSpec:
-    """Encode an exponent table as a ProductSpec.
-
-    Factor families are infinite, so a single factor (1 - mono*q^n)^(-e) is
-    written as the quotient of two step-1 families: the family starting at n
-    divided by the same family starting at n+1.
-    """
-    factors: list[ProductFactor] = []
-    for mono, n, e in table:
-        if e == 0:
-            continue
-        factors.append(ProductFactor(1, mono, n, 1, e))
-        factors.append(ProductFactor(1, mono, n + 1, 1, -e))
-    return ProductSpec(factors)
 
 
 def euler_reexpand(table: Iterable[tuple[Monomial, int, int]], qmax: int,
                    degmax: int | None = None) -> TruncatedSeries:
     """Multiply an exponent table back out (round-trip check helper)."""
-    acc = TruncatedSeries.one(qmax, degmax)
+    acc = _one_buckets(qmax)
     for mono, n, e in table:
-        acc = acc * binomial_factor(1, mono, n, -e, qmax, degmax)
-    return acc
-
-
-def geometric_sum_term(poly: Polynomial, n: int, qmax: int,
-                       degmax: int | None = None) -> TruncatedSeries:
-    """Sum_{k>=1} (poly * q^n)^k, truncated.
-
-    Requires n >= 1, or n = 0 together with a degmax cap and a coefficient
-    of positive minimal colour degree (so the sum terminates).
-    """
-    if n == 0:
-        if degmax is None:
-            raise AlgebraError("geometric sum at q^0 needs a degmax cap")
-        mindeg = min((m.degree for m in poly.terms), default=0)
-        if mindeg == 0:
-            raise AlgebraError("geometric sum at q^0 needs positive colour degree")
-        kmax = degmax // mindeg
-    else:
-        kmax = qmax // n
-    acc = TruncatedSeries.zero(qmax, degmax)
-    power = TruncatedSeries.from_term(qmax, 0, _POLY_ONE, degmax)
-    for _ in range(kmax):
-        power = power.mul_term(n, poly)
-        acc = acc + power
-    return acc
+        _factor_step(acc, 1, mono, n, -e, degmax)
+    return TruncatedSeries._from_buckets(acc, degmax)

@@ -141,16 +141,14 @@ def _load_series(path: str) -> TruncatedSeries:
     return TruncatedSeries.from_json(data)
 
 
-def _max_nodes_from_env() -> int | None:
-    raw = os.environ.get("WWORDS_MAX_NODES")
-    if raw is None:
-        return None
+def _order(raw: str) -> int:
+    """argparse type of --qmax, --degmax and --list."""
     try:
         value = int(raw)
     except ValueError:
-        raise CliError(f"WWORDS_MAX_NODES must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError("WWORDS_MAX_NODES must be positive")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -182,7 +180,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         raise CliError(
             f"unknown identity {args.identity!r} "
             f"(known: {', '.join(identity_names())})")
-    kwargs: dict = {"max_nodes": _max_nodes_from_env()}
+    kwargs: dict = {}
     if args.qmax is not None:
         kwargs["qmax"] = args.qmax
     if args.degmax is not None:
@@ -214,7 +212,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
             f"resolved {conv['resolved']}")
     if args.statistics:
         stats = check_statistics(args.identity, samples=args.samples,
-                                 seed=args.seed, max_nodes=kwargs["max_nodes"])
+                                 seed=args.seed)
         doc["statistics"] = stats
         equal = equal and stats["ok"]
         lines.append(
@@ -244,10 +242,8 @@ def _cmd_expand(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[int, dict, list[str]]:
     system = _resolve_system(args.system)
-    max_nodes = _max_nodes_from_env()
     if args.list is not None:
-        parts = list_partitions(system, args.list, degmax=args.degmax,
-                                max_nodes=max_nodes)
+        parts = list_partitions(system, args.list, degmax=args.degmax)
         doc = {
             "system": system.name,
             "n": args.list,
@@ -258,8 +254,7 @@ def _cmd_enumerate(args) -> tuple[int, dict, list[str]]:
         lines += ["  " + " + ".join(str(p) for p in chain) if chain else "  (empty)"
                   for chain in parts]
         return 0, doc, lines
-    f = enumerate_series(system, args.qmax, degmax=args.degmax,
-                         max_nodes=max_nodes)
+    f = enumerate_series(system, args.qmax, degmax=args.degmax)
     rows = coefficient_table(f, args.qmax)
     doc = {
         "system": system.name,
@@ -359,8 +354,7 @@ def _cmd_discover(args) -> tuple[int, dict, list[str]]:
     system = _resolve_system(args.system)
     primaries = _split_csv(args.primaries, "--primaries")
     candidates = search_relations(system, primaries, args.qmax,
-                                  max_exponent=args.max_exponent,
-                                  max_nodes=_max_nodes_from_env())
+                                  max_exponent=args.max_exponent)
     product_like = [c for c in candidates if c.product_like]
     shown = candidates[:args.top]
     doc = {
@@ -437,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify an identity by independent engines")
     p.add_argument("identity", help="identity name (see list-presets)")
-    p.add_argument("--qmax", type=int, default=None,
+    p.add_argument("--qmax", type=_order, default=None,
                    help="truncation order (default: the identity's own)")
-    p.add_argument("--degmax", type=int, default=None,
+    p.add_argument("--degmax", type=_order, default=None,
                    help="colour-degree cap (default: the identity's own)")
     p.add_argument("--engines", default=None,
                    help="comma-separated subset of enum,recurrence,product,dilation")
@@ -452,17 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand an infinite product")
     p.add_argument("--product", required=True,
                    help="identity name or ProductSpec JSON file")
-    p.add_argument("--qmax", type=int, required=True, help="truncation order")
-    p.add_argument("--degmax", type=int, default=None, help="colour-degree cap")
+    p.add_argument("--qmax", type=_order, required=True, help="truncation order")
+    p.add_argument("--degmax", type=_order, default=None, help="colour-degree cap")
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("enumerate",
                        help="enumerate a system's series or its partitions")
     p.add_argument("system", help="preset name or system JSON file")
-    p.add_argument("--qmax", type=int, default=20,
+    p.add_argument("--qmax", type=_order, default=20,
                    help="truncation order (default 20)")
-    p.add_argument("--degmax", type=int, default=None, help="colour-degree cap")
-    p.add_argument("--list", type=int, default=None, metavar="N",
+    p.add_argument("--degmax", type=_order, default=None, help="colour-degree cap")
+    p.add_argument("--list", type=_order, default=None, metavar="N",
                    help="list the partitions of total size N instead")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -478,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation", help="builtin equation name or EquationSpec JSON file")
     p.add_argument("--kmax", type=int, default=None,
                    help="largest k to check (default: the equation's own)")
-    p.add_argument("--qmax", type=int, default=40,
+    p.add_argument("--qmax", type=_order, default=40,
                    help="truncation order (default 40)")
-    p.add_argument("--degmax", type=int, default=None, help="colour-degree cap")
+    p.add_argument("--degmax", type=_order, default=None, help="colour-degree cap")
     p.set_defaults(handler=_cmd_check_eq)
 
     p = sub.add_parser("discover",
@@ -488,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="preset name or system JSON file")
     p.add_argument("--primaries", required=True,
                    help="comma-separated primary variables, e.g. a,b")
-    p.add_argument("--qmax", type=int, required=True, help="truncation order")
+    p.add_argument("--qmax", type=_order, required=True, help="truncation order")
     p.add_argument("--max-exponent", type=int, default=2,
                    help="largest exponent per primary in an image (default 2)")
     p.add_argument("--top", type=int, default=10,

@@ -12,23 +12,31 @@ import os
 from typing import Iterable, Sequence
 
 from .algebra import Monomial, Polynomial, TruncatedSeries
-from .systems import ColouredPart, ColouredSystem, SystemSpecError
+from .systems import ColouredPart, ColouredSystem
 
 DEFAULT_MAX_NODES = 10_000_000
 _MAX_NODES_ENV = "WWORDS_MAX_NODES"
 
 
 class EnumerationLimitError(RuntimeError):
-    """The partition walk exceeded its node budget."""
+    """The partition walk exceeded its node budget, or the budget set in
+    the environment is not a positive integer."""
 
 
 def _node_budget(max_nodes: int | None) -> int:
     if max_nodes is not None:
         return max_nodes
-    env = os.environ.get(_MAX_NODES_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_NODES
+    raw = os.environ.get(_MAX_NODES_ENV)
+    if raw is None:
+        return DEFAULT_MAX_NODES
+    try:
+        value = int(raw)
+    except ValueError:
+        raise EnumerationLimitError(
+            f"{_MAX_NODES_ENV} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise EnumerationLimitError(f"{_MAX_NODES_ENV} must be positive")
+    return value
 
 
 def _coerce_part(part) -> ColouredPart:
@@ -74,16 +82,7 @@ def is_valid_partition(sys: ColouredSystem,
 def _prepare(sys: ColouredSystem, qmax: int, degmax: int | None):
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
-    if sys.has_zero_parts:
-        if degmax is None:
-            raise SystemSpecError(
-                "system admits size-0 parts: a degree bound (degmax) is "
-                "needed for the walk to terminate")
-        for c in sys.colours:
-            if c.domain.contains(0) and c.weight.degree == 0:
-                raise SystemSpecError(
-                    f"colour {c.label!r} has size-0 parts of weight 1: "
-                    "enumeration cannot terminate")
+    sys.check_termination(degmax)
     parts = sys.parts_up_to(qmax)
     if degmax is not None:
         parts = [p for p in parts if sys.part_weight(p).degree <= degmax]
@@ -101,7 +100,9 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
           max_nodes: int | None, visit):
     """Run the DFS, calling visit(chain, weight, total) at every partition.
 
-    The empty partition is visited first with weight 1 and total 0.
+    The empty partition is visited first with weight 1 and total 0.  The
+    walk keeps its own stack, one frame per part of the current chain, so
+    the number of parts is not bounded by Python's recursion limit.
     """
     parts, below = _prepare(sys, qmax, degmax)
     budget = _node_budget(max_nodes)
@@ -110,32 +111,31 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
     degs = {p: w.degree for p, w in weights.items()}
 
     visit((), Monomial.one(), 0)
-
-    # iterative DFS; stack holds (part, remaining chain iterator) frames
     chain: list[ColouredPart] = []
-
-    def rec(p: ColouredPart, weight: Monomial, total: int):
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise EnumerationLimitError(
-                f"enumeration exceeded {budget} partitions; raise the limit "
-                f"via the {_MAX_NODES_ENV} environment variable or max_nodes")
-        chain.append(p)
-        visit(tuple(chain), weight, total)
-        for p2 in below[p]:
-            t2 = total + p2.size
-            if t2 > qmax:
+    # frames: (parts that may come next, weight of the chain, its size)
+    stack = [(iter(parts), Monomial.one(), 0)]
+    while stack:
+        candidates, weight, total = stack[-1]
+        for p in candidates:
+            t = total + p.size
+            if t > qmax or (degmax is not None
+                            and weight.degree + degs[p] > degmax):
                 continue
-            w2deg = weight.degree + degs[p2]
-            if degmax is not None and w2deg > degmax:
-                continue
-            rec(p2, weight * weights[p2], t2)
-        chain.pop()
-
-    for p in parts:
-        if p.size <= qmax and (degmax is None or degs[p] <= degmax):
-            rec(p, weights[p], p.size)
+            count += 1
+            if count > budget:
+                raise EnumerationLimitError(
+                    f"enumeration exceeded {budget} partitions; raise the "
+                    f"limit via the {_MAX_NODES_ENV} environment variable "
+                    "or max_nodes")
+            w = weight * weights[p]
+            chain.append(p)
+            visit(tuple(chain), w, t)
+            stack.append((iter(below[p]), w, t))
+            break
+        else:
+            stack.pop()
+            if stack:
+                chain.pop()
 
 
 def enumerate_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,

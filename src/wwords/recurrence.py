@@ -26,19 +26,15 @@ from typing import Sequence
 
 from .algebra import (
     Monomial,
-    Polynomial,
     SubstitutionMap,
     TruncatedSeries,
-    binomial_factor,
+    _add_shifted,
+    _factor_step,
+    _one_buckets,
+    _zero_buckets,
     substitute,
 )
-from .systems import (
-    ColouredPart,
-    ColouredSystem,
-    MatrixGap,
-    SystemSpecError,
-    build_preset,
-)
+from .systems import ColouredPart, ColouredSystem, MatrixGap, build_preset
 
 
 class RecurrenceError(ValueError):
@@ -50,107 +46,7 @@ class EquationRangeError(RecurrenceError):
 
 
 # ---------------------------------------------------------------------------
-# raw series helpers (list of {Monomial: int} buckets, index = q exponent)
-# ---------------------------------------------------------------------------
-
-
-def _raw_zero(qmax: int) -> list[dict]:
-    return [dict() for _ in range(qmax + 1)]
-
-
-def _raw_add_into(acc: list[dict], other: list[dict]) -> None:
-    for bucket, extra in zip(acc, other):
-        for mono, c in extra.items():
-            v = bucket.get(mono, 0) + c
-            if v:
-                bucket[mono] = v
-            else:
-                del bucket[mono]
-
-
-def _raw_shift_mul(src: list[dict], mono: Monomial, s: int, qmax: int,
-                   degmax: int | None) -> list[dict]:
-    """src * mono * q^s, truncated at qmax (and at total degree degmax)."""
-    out = _raw_zero(qmax)
-    mdeg = mono.degree
-    for n in range(qmax + 1 - s):
-        bucket = src[n]
-        if not bucket:
-            continue
-        tgt = out[n + s]
-        for m, c in bucket.items():
-            if degmax is not None and m.degree + mdeg > degmax:
-                continue
-            m2 = m * mono
-            v = tgt.get(m2, 0) + c
-            if v:
-                tgt[m2] = v
-            else:
-                del tgt[m2]
-    return out
-
-
-def _raw_is_zero(src: list[dict]) -> bool:
-    return all(not bucket for bucket in src)
-
-
-def _raw_geometric(src: list[dict], w: Monomial, s: int, qmax: int,
-                   degmax: int | None) -> list[dict]:
-    """Solve E = w*q^s * (1 + src + E) for E.
-
-    For s >= 1 a single ascending pass over q-exponents suffices: bucket n of
-    E only needs buckets n-s of src and E.  For s = 0 the fixpoint is graded
-    by colour degree instead (w then has positive degree, or the caller
-    rejected the system), so repeated multiplication terminates.
-    """
-    wdeg = w.degree
-    out = _raw_zero(qmax)
-    if s == 0:
-        base = [dict(b) for b in src]
-        base[0][Monomial.one()] = base[0].get(Monomial.one(), 0) + 1
-        term = _raw_shift_mul(base, w, 0, qmax, degmax)
-        guard = 0
-        while not _raw_is_zero(term):
-            _raw_add_into(out, term)
-            term = _raw_shift_mul(term, w, 0, qmax, degmax)
-            guard += 1
-            if guard > (degmax or 0) + 2:
-                raise RecurrenceError(
-                    "geometric closure over size-0 parts does not terminate")
-        return out
-    if s > qmax:
-        return out
-    if degmax is None or wdeg <= degmax:
-        out[s][w] = 1
-    for n in range(s, qmax + 1):
-        tgt = out[n]
-        for bucket in (src[n - s], out[n - s]):
-            for m, c in bucket.items():
-                if degmax is not None and m.degree + wdeg > degmax:
-                    continue
-                m2 = m * w
-                v = tgt.get(m2, 0) + c
-                if v:
-                    tgt[m2] = v
-                else:
-                    del tgt[m2]
-    return out
-
-
-def _raw_one(qmax: int) -> list[dict]:
-    out = _raw_zero(qmax)
-    out[0][Monomial.one()] = 1
-    return out
-
-
-def _raw_to_series(src: list[dict], qmax: int,
-                   degmax: int | None) -> TruncatedSeries:
-    return TruncatedSeries(qmax, [Polynomial(dict(b)) for b in src],
-                           degmax=degmax)
-
-
-# ---------------------------------------------------------------------------
-# gap plumbing: lanes (row identities) and per-lane gap values
+# lanes: row identities of the gap rule
 # ---------------------------------------------------------------------------
 
 
@@ -160,38 +56,6 @@ def _lane_of(sys: ColouredSystem, part: ColouredPart) -> str:
     if isinstance(sys.gap, MatrixGap):
         return sys.gap.row_class(part)
     return part.colour
-
-
-def _lane_gap(sys: ColouredSystem, lane: str, lower_colour: str,
-              lower_over: bool) -> int:
-    gap = sys.gap
-    if isinstance(gap, MatrixGap):
-        try:
-            g = gap.rows[lane][lower_colour]
-        except KeyError:
-            raise SystemSpecError(
-                f"gap matrix has no entry for row {lane!r}, "
-                f"column {lower_colour!r}")
-        if gap.overline_extra and lower_over:
-            g += 1
-        return g
-    # formula rules: the lane is the upper colour; size plays no role
-    upper = ColouredPart(0, lane, False)
-    lower = ColouredPart(0, lower_colour, lower_over)
-    return gap.min_gap(sys, upper, lower)
-
-
-def _check_termination(sys: ColouredSystem, degmax: int | None) -> None:
-    if sys.has_zero_parts:
-        if degmax is None:
-            raise SystemSpecError(
-                "system admits size-0 parts: a degree bound (degmax) is "
-                "needed for the recursion to terminate")
-        for c in sys.colours:
-            if c.domain.contains(0) and c.weight.degree == 0:
-                raise SystemSpecError(
-                    f"colour {c.label!r} has size-0 parts of weight 1: "
-                    "the recursion cannot terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +80,7 @@ class RecurrenceState:
             direction = "smallest" if sys.min_size == 0 else "largest"
         if direction not in ("largest", "smallest"):
             raise ValueError(f"unknown direction {direction!r}")
-        _check_termination(sys, degmax)
+        sys.check_termination(degmax)
         self.sys = sys
         self.qmax = qmax
         self.degmax = degmax
@@ -224,7 +88,7 @@ class RecurrenceState:
         self._parts: list[ColouredPart] = []
         self._E: list[list[dict]] = []
         self._index: dict[ColouredPart, int] = {}
-        self._total: list[dict] = _raw_one(qmax)
+        self._total: list[dict] = _one_buckets(qmax)
         self._g_cache: dict[tuple[int, int], TruncatedSeries] = {}
         self._series_cache: dict[int, TruncatedSeries] = {}
         self._build()
@@ -250,9 +114,16 @@ class RecurrenceState:
         # group); within a lane, sizes decrease with processing order.
         group_sizes: dict[tuple[str, bool], list[int]] = {}
         lane_sizes: dict[str, list[int]] = {}
+        # gap rules read only the upper part's lane and the lower part's
+        # (colour, over) group, so one representative part stands for each
+        group_rep: dict[tuple[str, bool], ColouredPart] = {}
+        lane_rep: dict[str, ColouredPart] = {}
         for p in parts:
-            group_sizes.setdefault((p.colour, p.over), []).append(p.size)
-            lane_sizes.setdefault(_lane_of(sys, p), []).append(p.size)
+            grp, lane = (p.colour, p.over), _lane_of(sys, p)
+            group_sizes.setdefault(grp, []).append(p.size)
+            lane_sizes.setdefault(lane, []).append(p.size)
+            group_rep.setdefault(grp, p)
+            lane_rep.setdefault(lane, p)
         for key in group_sizes:
             group_sizes[key] = sorted(group_sizes[key])
         for key in lane_sizes:
@@ -269,40 +140,39 @@ class RecurrenceState:
         # into one shared accumulator, so each E is merged exactly once
         ptrs: dict[tuple[str, tuple[str, bool]], int] = {
             (lane, grp): 0 for lane in lanes for grp in groups}
-        shared: dict = ({lane: _raw_zero(qmax) for lane in lanes}
+        shared: dict = ({lane: _zero_buckets(qmax) for lane in lanes}
                         if not mirror else
-                        {grp: _raw_zero(qmax) for grp in groups})
+                        {grp: _zero_buckets(qmax) for grp in groups})
 
         for p in parts:
             grp_p = (p.colour, p.over)
             lane_p = _lane_of(sys, p)
             size_p = p.size
-            self_gap = _lane_gap(sys, lane_p, p.colour, p.over)
             if not mirror:
                 acc = shared[lane_p]
                 for grp in groups:
-                    g = _lane_gap(sys, lane_p, grp[0], grp[1])
+                    g = sys.min_gap(p, group_rep[grp])
                     self._advance_largest(acc, ptrs, lane_p, grp,
                                           computed_grp[grp], group_sizes[grp],
                                           size_p - g, p)
             else:
                 acc = shared[grp_p]
                 for lane in lanes:
-                    g = _lane_gap(sys, lane, p.colour, p.over)
+                    g = sys.min_gap(lane_rep[lane], p)
                     self._advance_smallest(acc, ptrs, lane, grp_p,
                                            computed_lane[lane],
                                            lane_sizes[lane], size_p + g, p,
                                            lane_p)
 
+            # E_p = w q^s (1 + acc), closed geometrically by 1/(1 - w q^s)
+            # when p may sit directly next to itself; the part list already
+            # holds only sizes <= qmax and weights within degmax
             w = sys.part_weight(p)
-            if self_gap <= 0:
-                # p may sit directly next to itself: geometric closure
-                E_p = _raw_geometric(acc, w, size_p, qmax, degmax)
-            else:
-                E_p = _raw_shift_mul(acc, w, size_p, qmax, degmax)
-                if size_p <= qmax and (degmax is None or w.degree <= degmax):
-                    bucket = E_p[size_p]  # the chain consisting of p alone
-                    bucket[w] = bucket.get(w, 0) + 1
+            E_p = _zero_buckets(qmax)
+            E_p[size_p][w] = 1
+            _add_shifted(E_p, acc, size_p, w, 1, degmax)
+            if sys.min_gap(p, p) <= 0:
+                _factor_step(E_p, 1, w, size_p, -1, degmax)
 
             idx = len(self._parts)
             self._index[p] = idx
@@ -310,7 +180,7 @@ class RecurrenceState:
             self._E.append(E_p)
             computed_grp[grp_p].append(idx)
             computed_lane[lane_p].append(idx)
-            _raw_add_into(self._total, E_p)
+            _add_shifted(self._total, E_p)
 
     def _advance_largest(self, acc, ptrs, lane, grp, comp, sizes, threshold,
                          current) -> None:
@@ -320,7 +190,7 @@ class RecurrenceState:
             idx = comp[ptr]
             if self._parts[idx].size > threshold:
                 break
-            _raw_add_into(acc, self._E[idx])
+            _add_shifted(acc, self._E[idx])
             ptr += 1
         ptrs[key] = ptr
         need = bisect_right(sizes, threshold)
@@ -341,7 +211,7 @@ class RecurrenceState:
             idx = comp[ptr]
             if self._parts[idx].size < threshold:
                 break
-            _raw_add_into(acc, self._E[idx])
+            _add_shifted(acc, self._E[idx])
             ptr += 1
         ptrs[key] = ptr
         need = len(sizes) - bisect_left(sizes, threshold)
@@ -357,8 +227,8 @@ class RecurrenceState:
 
     # -- lookups --------------------------------------------------------------
 
-    def _finish(self, raw: list[dict]) -> TruncatedSeries:
-        series = _raw_to_series(raw, self.qmax, self.degmax)
+    def _finish(self, buckets: list[dict]) -> TruncatedSeries:
+        series = TruncatedSeries._from_buckets(buckets, self.degmax)
         if self.sys.erased_vars:
             series = series.specialize({v: 1 for v in self.sys.erased_vars})
         return series
@@ -400,11 +270,11 @@ class RecurrenceState:
         key = (self.sys.rank_rule.rank(ColouredPart(size, colour, False)), 1)
         cached = self._g_cache.get(key)
         if cached is None:
-            raw = _raw_one(self.qmax)
+            buckets = _one_buckets(self.qmax)
             for idx, p in enumerate(self._parts):
                 if self.sys.part_key(p) <= key:
-                    _raw_add_into(raw, self._E[idx])
-            cached = self._finish(raw)
+                    _add_shifted(buckets, self._E[idx])
+            cached = self._finish(buckets)
             self._g_cache[key] = cached
         return cached
 
@@ -466,24 +336,23 @@ class EqTerm:
             raise RecurrenceError(f"{self.kind} term needs colour and size")
 
     def coefficient_series(self, k: int, qmax: int) -> TruncatedSeries:
-        out = TruncatedSeries.zero(qmax)
+        out = _zero_buckets(qmax)
         for c, items, qexp in self.poly:
             e = _affine_eval(qexp, k)
             if e < 0:
                 raise EquationRangeError(
                     f"coefficient exponent q^({_affine_str(qexp)}) is negative "
                     f"at k={k}; restrict the k range")
-            if e <= qmax:
-                out = out + TruncatedSeries.from_term(
-                    qmax, e, Polynomial.term(Monomial(items), c))
+            if e <= qmax and c:
+                _add_shifted(out, [{Monomial(items): c}], e)
         for dexp in self.den:
             e = _affine_eval(dexp, k)
             if e <= 0:
                 raise EquationRangeError(
                     f"denominator 1 - q^({_affine_str(dexp)}) vanishes or is "
                     f"singular at k={k}; restrict the k range")
-            out = out * binomial_factor(1, Monomial.one(), e, -1, qmax)
-        return out
+            _factor_step(out, 1, Monomial.one(), e, -1)
+        return TruncatedSeries._from_buckets(out)
 
     def evaluate(self, state: RecurrenceState, k: int,
                  colour_binding: str | None) -> TruncatedSeries:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import Monomial, SubstitutionMap
@@ -488,17 +489,23 @@ class ColouredSystem:
         return any(c.domain.contains(0) and (0, c.label) not in self.forbidden_parts
                    for c in self.colours)
 
-    # -- parts --------------------------------------------------------------
+    def check_termination(self, degmax: int | None) -> None:
+        """Size-0 parts can repeat without raising the size, so the engines
+        stop only on a colour-degree cap, and only if every size-0 part
+        carries a colour."""
+        if not self.has_zero_parts:
+            return
+        if degmax is None:
+            raise SystemSpecError(
+                "system admits size-0 parts: a degree bound (degmax) is "
+                "needed for the engines to terminate")
+        for c in self.colours:
+            if c.domain.contains(0) and c.weight.degree == 0:
+                raise SystemSpecError(
+                    f"colour {c.label!r} has size-0 parts of weight 1: "
+                    "the engines cannot terminate")
 
-    def in_domain(self, part: ColouredPart) -> bool:
-        """Size/overline admissible, ignoring the forbidden-part list."""
-        try:
-            c = self.colour(part.colour)
-        except SystemSpecError:
-            return False
-        if part.over and not c.overline_allowed:
-            return False
-        return c.domain.contains(part.size)
+    # -- parts --------------------------------------------------------------
 
     def part_validity(self, part: ColouredPart) -> str | None:
         """None if valid, else a human-readable reason."""
@@ -967,9 +974,11 @@ def preset_dilation(name: str) -> DilationSpec:
     return table[name]
 
 
+@cache
 def build_preset(name: str, r: int | None = None) -> ColouredSystem:
     """Build a named preset.  Parametric families take r, either via the
-    argument or inline as e.g. 'andrews-overpartitions(2)'."""
+    argument or inline as e.g. 'andrews-overpartitions(2)'.  Systems are
+    immutable, so each preset is built and validated once per process."""
     base = name
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)

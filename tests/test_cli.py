@@ -438,6 +438,32 @@ class TestEulerFactor:
 
 
 # ---------------------------------------------------------------------------
+# orders
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "schur-weighted", "--qmax", "-1"],
+    ["enumerate", "schur-weighted", "--list", "-1"],
+    ["enumerate", "schur-weighted", "--degmax", "-1"],
+    ["verify", "theorem-2", "--qmax", "-1"],
+    ["verify", "theorem-2", "--degmax", "-1"],
+    ["check-eq", "schur-rec-a", "--qmax", "-1"],
+    ["check-eq", "schur-rec-a", "--degmax", "-1"],
+    ["expand", "--product", "theorem-2", "--qmax", "-1"],
+    ["expand", "--product", "theorem-2", "--qmax", "4", "--degmax", "-1"],
+    ["discover", "schur-dilated-mod3", "--primaries", "a,b", "--qmax", "-1"],
+    ["enumerate", "schur-weighted", "--qmax", "ten"],
+])
+def test_bad_order_is_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "wwords.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "usage:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 

@@ -4,9 +4,14 @@ import pytest
 
 import oracles
 from wwords import (
+    ColourDef,
     ColouredPart,
+    ColouredSystem,
+    MatrixGap,
     Monomial,
     Polynomial,
+    RankRule,
+    SizeDomain,
     SystemSpecError,
     build_preset,
     preset_dilation,
@@ -282,6 +287,17 @@ def test_node_budget_via_environment(monkeypatch):
     enumerate_series(sys, 10)  # plenty now
 
 
+def test_walk_depth_is_not_bounded_by_recursion_limit():
+    # one colour whose only size up to 1500 is 1, allowed to repeat: the
+    # partition 1 + 1 + ... + 1 of n has n parts
+    ones = ColouredSystem(
+        name="ones", colours=(ColourDef("a", Monomial.one(),
+                                        SizeDomain(1, 2000, frozenset({1}))),),
+        gap=MatrixGap({"a": {"a": 0}}), rank_rule=RankRule(1, {"a": 0}),
+    ).validate()
+    assert count_partitions(ones, 1500) == [1] * 1501
+
+
 # ---------------------------------------------------------------------------
 # dilated five-colour system counts equal distinct odd parts (spot check)
 # ---------------------------------------------------------------------------
@@ -290,7 +306,6 @@ def test_node_budget_via_environment(monkeypatch):
 def test_dilated_five_colour_counts_match_distinct_odd():
     qmax = 20
     series = enumerate_series(build_preset("siladic-dilated"), qmax)
-    counts = [series.coefficient(n).substitute_vars(
-        {"a": Polynomial.one(), "b": Polynomial.one()}).constant_term()
-        for n in range(qmax + 1)]
+    counts = [c.constant_term() for c in
+              series.specialize({"a": 1, "b": 1}).coefficients()]
     assert counts == oracles.distinct_odd_counts(qmax)

@@ -11,7 +11,6 @@ from wwords.algebra import (
     TruncatedSeries,
     euler_factorize,
     euler_reexpand,
-    euler_table_to_spec,
     product_expand,
 )
 
@@ -113,11 +112,3 @@ def test_round_trip_on_non_product_series():
     f = TruncatedSeries(qmax, coeffs)
     table = euler_factorize(f)
     assert euler_reexpand(table, qmax) == f
-
-
-def test_table_to_spec_single_factors():
-    f = TruncatedSeries.one(9) + TruncatedSeries.from_term(
-        9, 2, Polynomial.variable("a"))
-    table = euler_factorize(f)
-    spec = euler_table_to_spec(table)
-    assert product_expand(spec, 9) == f

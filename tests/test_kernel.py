@@ -1,0 +1,141 @@
+"""The series kernel seen through the engines: the recurrence on generated
+systems against enumeration, specialization against direct evaluation, and
+product factors with large exponents."""
+
+import random
+import time
+
+from wwords import (
+    ColourDef,
+    ColouredSystem,
+    MatrixGap,
+    Monomial,
+    Polynomial,
+    ProductFactor,
+    ProductSpec,
+    RankRule,
+    SizeDomain,
+    SystemSpecError,
+    TruncatedSeries,
+    dp_series,
+    enumerate_series,
+    euler_factorize,
+    euler_reexpand,
+    product_expand,
+)
+
+from oracles import expand_product
+
+
+def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
+    """A small matrix-gap system, or None when validate() rejects it."""
+    labels = ["c0", "c1", "c2"][: rng.randrange(1, 4)]
+    zero_parts = rng.random() < 0.3
+    overlines = rng.random() < 0.2
+    colours = []
+    for label in labels:
+        weight = Monomial([("a", rng.randrange(2)), ("b", rng.randrange(2))])
+        if zero_parts and weight.degree == 0:
+            weight = Monomial.var(rng.choice("ab"))  # size-0 parts need a colour
+        if rng.random() < 0.3:
+            modulus = rng.randrange(2, 4)
+            domain = SizeDomain(0 if zero_parts else 1, modulus,
+                                frozenset({rng.randrange(modulus)}))
+        else:
+            domain = SizeDomain(0 if zero_parts else rng.randrange(1, 3))
+        colours.append(ColourDef(label, weight, domain,
+                                 overline_allowed=overlines))
+    gap = MatrixGap({upper: {lower: rng.randrange(4) for lower in labels}
+                     for upper in labels}, overline_extra=overlines)
+    order = rng.sample(range(len(labels)), len(labels))
+    try:
+        return ColouredSystem(
+            name=f"random-{index}", colours=tuple(colours), gap=gap,
+            rank_rule=RankRule(len(labels), dict(zip(labels, order))),
+            min_size=0 if zero_parts else 1,
+            overline_marker="t" if overlines else None,
+            erased_vars=("b",) if rng.random() < 0.3 else (),
+        ).validate()
+    except SystemSpecError:
+        return None
+
+
+def test_recurrence_matches_enumeration_on_random_systems():
+    rng = random.Random(31337)
+    checked = {"all": 0, "zero": 0, "erased": 0, "degmax": 0, "over": 0}
+    for attempt in range(150):
+        sys = _random_system(rng, attempt)
+        if sys is None:
+            continue
+        qmax = rng.randrange(6, 11)
+        degmax = (rng.randrange(3, 6) if sys.has_zero_parts or rng.random() < 0.3
+                  else None)
+        expected = enumerate_series(sys, qmax, degmax)
+        directions = ("smallest",) if sys.has_zero_parts else ("largest", "smallest")
+        for direction in directions:
+            got = dp_series(sys, qmax, degmax, direction)
+            assert got == expected, (sys.to_json(), qmax, degmax, direction)
+        checked["all"] += 1
+        checked["zero"] += sys.has_zero_parts
+        checked["erased"] += bool(sys.erased_vars)
+        checked["degmax"] += degmax is not None
+        checked["over"] += sys.overline_marker is not None
+    assert min(checked.values()) >= 3, checked
+
+
+def _evaluate(poly: Polynomial, point: dict[str, int]) -> int:
+    total = 0
+    for mono, coeff in poly.terms.items():
+        for name, exp in mono.items:
+            coeff *= point[name] ** exp
+        total += coeff
+    return total
+
+
+def test_specialize_matches_direct_evaluation():
+    rng = random.Random(8080)
+    names = ["a", "b", "c"]
+    for _ in range(30):
+        qmax = 6
+        coeffs = [Polynomial({
+            Monomial([(v, rng.randrange(3)) for v in names]): rng.randrange(-4, 5)
+            for _ in range(rng.randrange(4))}) for _ in range(qmax + 1)]
+        f = TruncatedSeries(qmax, coeffs)
+        assignments = {v: rng.choice([-2, -1, 0, 2, 3])
+                       for v in rng.sample(names, rng.randrange(1, 4))}
+        g = f.specialize(assignments)
+        point = {**{v: rng.randrange(-3, 4) for v in names}, **assignments}
+        for n in range(qmax + 1):
+            assert all(v not in assignments for m in g.coefficient(n).terms
+                       for v in m.variables())
+            assert _evaluate(g.coefficient(n), point) == \
+                _evaluate(f.coefficient(n), point)
+
+
+def test_large_exponents_expand_and_round_trip_quickly():
+    a, b = Monomial.var("a"), Monomial.var("b")
+    started = time.perf_counter()
+    spec = ProductSpec([ProductFactor(1, a, 1, 2, 300),
+                        ProductFactor(-1, b, 2, 3, -450),
+                        ProductFactor(1, Monomial.one(), 3, 5, 777)])
+    f = product_expand(spec, 16)
+    assert euler_reexpand(euler_factorize(f), 16) == f
+    assert product_expand(spec.negate_powers(), 16) * f == TruncatedSeries.one(16)
+    # (1 + 7q) carries exponents past 10^9 by q^12
+    g = TruncatedSeries.one(12) + TruncatedSeries.from_term(12, 1, Polynomial.constant(7))
+    table = euler_factorize(g)
+    assert max(abs(e) for _, _, e in table) > 10 ** 9
+    assert euler_reexpand(table, 12) == g
+    assert time.perf_counter() - started < 1.0
+
+
+def test_large_exponent_matches_unit_step_oracle():
+    factors = [{"sign": -1, "vars": {"a": 1}, "start": 1, "mod": 2, "power": -200},
+               {"sign": 1, "vars": {"b": 2}, "start": 2, "mod": 3, "power": 150}]
+    ours = product_expand(ProductSpec(
+        ProductFactor(f["sign"], Monomial.from_dict(f["vars"]), f["start"],
+                      f["mod"], f["power"]) for f in factors), 8)
+    ref = expand_product(factors, 8)
+    for n in range(9):
+        assert {tuple(m.items): c for m, c in ours.coefficient(n).terms.items()} \
+            == ref[n]

@@ -89,16 +89,6 @@ def test_polynomial_scale_and_cap_degree():
     assert p.cap_degree(None) is p
 
 
-def test_polynomial_substitute_vars():
-    a = Polynomial.variable("a")
-    b = Polynomial.variable("b")
-    p = a * a + a * b
-    q = p.substitute_vars({"a": b})
-    assert q == b * b + b * b  # a^2 -> b^2, a*b -> b^2
-    erased = p.substitute_vars({"a": Polynomial.one()})
-    assert erased == Polynomial.one() + b
-
-
 def test_polynomial_json_round_trip():
     p = Polynomial({
         Monomial.var("a", 2): -3,

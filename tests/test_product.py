@@ -8,7 +8,6 @@ from wwords.algebra import (
     ProductFactor,
     ProductSpec,
     ProductSpecError,
-    binomial_factor,
     product_expand,
 )
 
@@ -86,9 +85,16 @@ def test_negative_power_inverts():
     assert (f * g).is_one()
 
 
-def test_binomial_factor_positive_exponent_terminates():
+def _single(sign, mono, n, exponent, qmax, degmax=None):
+    """(1 - sign*mono*q^n)^exponent: a family whose modulus exceeds qmax
+    occurs once."""
+    spec = ProductSpec([ProductFactor(sign, mono, n, qmax + 1, -exponent)])
+    return product_expand(spec, qmax, degmax)
+
+
+def test_single_factor_positive_exponent_terminates():
     # (1 - a q^2)^3 expanded exactly
-    f = binomial_factor(1, Monomial.var("a"), 2, 3, 10)
+    f = _single(1, Monomial.var("a"), 2, 3, 10)
     assert f.coefficient(2) == Polynomial.term(Monomial.var("a"), -3)
     assert f.coefficient(4) == Polynomial.term(Monomial.var("a", 2), 3)
     assert f.coefficient(6) == Polynomial.term(Monomial.var("a", 3), -1)
@@ -98,12 +104,12 @@ def test_binomial_factor_positive_exponent_terminates():
 def test_q0_factor_requires_degmax_only_when_infinite():
     # (1 + a)^(-1) never terminates without a degree cap
     with pytest.raises(ProductSpecError):
-        binomial_factor(-1, Monomial.var("a"), 0, -1, 5)
-    f = binomial_factor(-1, Monomial.var("a"), 0, -1, 5, degmax=2)
+        _single(-1, Monomial.var("a"), 0, -1, 5)
+    f = _single(-1, Monomial.var("a"), 0, -1, 5, degmax=2)
     a = Polynomial.variable("a")
     assert f.coefficient(0) == Polynomial.one() - a + a * a
     # (1 + a)^(+1) terminates on its own
-    g = binomial_factor(-1, Monomial.var("a"), 0, 1, 5)
+    g = _single(-1, Monomial.var("a"), 0, 1, 5)
     assert g.coefficient(0) == Polynomial.one() + a
 
 
@@ -111,9 +117,9 @@ def test_start_zero_family_expands_once_at_zero():
     # prod_j (1 + a q^(2j)) = (1 + a) * prod_{j>=1} (1 + a q^(2j))
     spec = ProductSpec([ProductFactor(-1, Monomial.var("a"), 0, 2, -1)])
     f = product_expand(spec, 6, degmax=4)
-    manual = binomial_factor(-1, Monomial.var("a"), 0, 1, 6, 4)
+    manual = _single(-1, Monomial.var("a"), 0, 1, 6, 4)
     for n in (2, 4, 6):
-        manual = manual * binomial_factor(-1, Monomial.var("a"), n, 1, 6, 4)
+        manual = manual * _single(-1, Monomial.var("a"), n, 1, 6, 4)
     assert f == manual
 
 

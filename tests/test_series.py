@@ -6,12 +6,13 @@ from wwords.algebra import (
     AlgebraError,
     Monomial,
     Polynomial,
+    ProductFactor,
+    ProductSpec,
     SubstitutionError,
     SubstitutionMap,
     TruncatedSeries,
     TruncationMismatch,
-    geometric_sum_term,
-    series_combine,
+    product_expand,
     substitute,
 )
 
@@ -51,7 +52,7 @@ def test_mismatched_truncations_refuse_to_combine():
     with pytest.raises(TruncationMismatch):
         TruncatedSeries.one(5) + TruncatedSeries.one(6)
     with pytest.raises(TruncationMismatch):
-        series_combine(TruncatedSeries.one(5), TruncatedSeries.one(6), "mul")
+        TruncatedSeries.one(5) * TruncatedSeries.one(6)
 
 
 def test_multiplication_matches_hand_expansion():
@@ -68,13 +69,14 @@ def test_multiplication_matches_hand_expansion():
     })
 
 
-def test_mul_term_equals_multiplication_by_single_term_series():
+def test_multiplication_by_single_term_series_shifts():
     qmax = 10
     f = _geom("a", 1, qmax)
     poly = Polynomial.variable("b") + Polynomial.constant(2)
-    g = f.mul_term(3, poly)
-    h = f * TruncatedSeries.from_term(qmax, 3, poly)
-    assert g == h
+    g = f * TruncatedSeries.from_term(qmax, 3, poly)
+    assert g == TruncatedSeries.from_term(qmax, 3, poly) * f
+    for n in range(3, qmax + 1):
+        assert g.coefficient(n) == f.coefficient(n - 3) * poly
     assert g.coefficient(0).is_zero()
     assert g.coefficient(2).is_zero()
 
@@ -212,13 +214,17 @@ def test_substitution_is_multiplicative_random():
 
 
 def test_geometric_sum_term():
-    # a*q + (a*q)^2 + ... through q^5
-    s = geometric_sum_term(Polynomial.variable("a"), 1, 5)
+    # a*q + (a*q)^2 + ... through q^5 is 1/(1 - a*q) - 1; a modulus above
+    # qmax makes the product a single factor
+    a = Monomial.var("a")
+    at_one = ProductSpec([ProductFactor(1, a, 1, 6, 1)])
+    s = product_expand(at_one, 5) - TruncatedSeries.one(5)
     for n in range(1, 6):
         assert s.coefficient(n) == Polynomial.term(Monomial.var("a", n))
     assert s.coefficient(0).is_zero()
+    at_zero = ProductSpec([ProductFactor(1, a, 0, 6, 1)])
     with pytest.raises(AlgebraError):
-        geometric_sum_term(Polynomial.variable("a"), 0, 5)  # needs degmax
-    capped = geometric_sum_term(Polynomial.variable("a"), 0, 5, degmax=3)
+        product_expand(at_zero, 5)  # needs degmax
+    capped = product_expand(at_zero, 5, degmax=3) - TruncatedSeries.one(5)
     assert capped.coefficient(0) == Polynomial({
         Monomial.var("a", 1): 1, Monomial.var("a", 2): 1, Monomial.var("a", 3): 1})

@@ -86,6 +86,18 @@ def _load_json_file(path: str) -> object:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _from_json(cls, data: object, path: str):
+    """``cls.from_json(data)``, with malformed input reported as a usage
+    error that names the file; the package's own errors pass unchanged."""
+    try:
+        return cls.from_json(data)
+    except _PACKAGE_ERRORS:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise CliError(f"{path}: malformed {cls.__name__} JSON "
+                       f"({type(exc).__name__}: {exc})") from exc
+
+
 def _resolve_system(name: str) -> ColouredSystem:
     """A preset name (possibly parametrized like name(3)) or a JSON file."""
     try:
@@ -95,7 +107,7 @@ def _resolve_system(name: str) -> ColouredSystem:
             data = _load_json_file(name)
             if not isinstance(data, dict):
                 raise CliError(f"{name}: a system definition must be a JSON object")
-            return ColouredSystem.from_json(data)
+            return _from_json(ColouredSystem, data, name)
         raise CliError(
             f"unknown system {name!r}: not a preset and not a readable file "
             f"(presets: {', '.join(preset_names())})")
@@ -111,7 +123,7 @@ def _resolve_product(source: str) -> tuple[str, ProductSpec]:
         data = _load_json_file(source)
         if not isinstance(data, list):
             raise CliError(f"{source}: a product spec must be a JSON list of factors")
-        return source, ProductSpec.from_json(data)
+        return source, _from_json(ProductSpec, data, source)
     raise CliError(
         f"unknown product {source!r}: not an identity name and not a readable file")
 
@@ -124,7 +136,7 @@ def _resolve_equation(source: str) -> EquationSpec:
             data = _load_json_file(source)
             if not isinstance(data, dict):
                 raise CliError(f"{source}: an equation spec must be a JSON object")
-            return EquationSpec.from_json(data)
+            return _from_json(EquationSpec, data, source)
         known = ", ".join(e.name for e in builtin_equations())
         raise CliError(
             f"unknown equation {source!r}: not builtin and not a readable file "
@@ -138,11 +150,11 @@ def _load_series(path: str) -> TruncatedSeries:
     if not isinstance(data, dict) or "coefficients" not in data:
         raise CliError(
             f"{path}: expected a series object with qmax and coefficients")
-    return TruncatedSeries.from_json(data)
+    return _from_json(TruncatedSeries, data, path)
 
 
 def _order(raw: str) -> int:
-    """argparse type of --qmax, --degmax and --list."""
+    """argparse type of every non-negative count: orders, caps and sizes."""
     try:
         value = int(raw)
     except ValueError:
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of enum,recurrence,product,dilation")
     p.add_argument("--statistics", action="store_true",
                    help="also check the identity's sampled part statistic")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_order, default=200,
                    help="sample count for --statistics (default 200)")
     p.set_defaults(handler=_cmd_verify)
 
@@ -485,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=_order, required=True, help="truncation order")
     p.add_argument("--max-exponent", type=int, default=2,
                    help="largest exponent per primary in an image (default 2)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_order, default=10,
                    help="how many candidates to report (default 10)")
     p.set_defaults(handler=_cmd_discover)
 

@@ -1,6 +1,7 @@
 """Recurrence-based computation of generating functions, and equation checks.
 
-The engine computes, for every coloured part p in rank order, the series
+The engine adds parts one at a time.  In the largest-part order it
+computes, for every coloured part p in rank order, the series
 E_p = generating function of valid partitions whose largest part is exactly
 p, via
 
@@ -8,10 +9,11 @@ p, via
           directly below p),
 
 closing self-admissible parts (min_gap(p, p) <= 0) with a geometric series.
-G_p is the cumulative sum 1 + sum of E at ranks <= rank(p); the full
-generating function is the limit over everything with size <= qmax.  A
-mirrored smallest-part recursion covers systems whose natural indexing is by
-smallest part (those with size-0 parts).
+G_p is the cumulative sum 1 + sum of E at ranks <= rank(p), which equation
+checks look up.  The smallest-part order is the same recursion run in
+reverse rank order, each part the new smallest one; it answers no G/E
+lookups but builds the full generating function (everything with size <=
+qmax) faster, so ``dp_series`` uses it.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -20,7 +22,7 @@ objects checkable to any truncation order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,38 +48,22 @@ class EquationRangeError(RecurrenceError):
 
 
 # ---------------------------------------------------------------------------
-# lanes: row identities of the gap rule
-# ---------------------------------------------------------------------------
-
-
-def _lane_of(sys: ColouredSystem, part: ColouredPart) -> str:
-    """Upper parts with the same lane impose identical gaps on every lower
-    part; within a lane, sizes increase with rank."""
-    if isinstance(sys.gap, MatrixGap):
-        return sys.gap.row_class(part)
-    return part.colour
-
-
-# ---------------------------------------------------------------------------
 # the recurrence state
 # ---------------------------------------------------------------------------
 
 
 class RecurrenceState:
-    """E_p / G_p tables for a system, built in rank order.
+    """E_p / G_p tables for a system.
 
-    direction "largest" builds largest-part tables (the default for systems
-    with positive minimum size); "smallest" builds the mirrored smallest-part
-    recursion (default when size-0 parts exist).  G/E lookups are only
-    meaningful for the largest-part direction.
+    direction "largest" (the default) builds largest-part tables in rank
+    order, which answer G/E lookups; "smallest" builds smallest-part tables
+    in reverse rank order, which give only the total series.
     """
 
     def __init__(self, sys: ColouredSystem, qmax: int,
-                 degmax: int | None = None, direction: str = "auto"):
+                 degmax: int | None = None, direction: str = "largest"):
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
-        if direction == "auto":
-            direction = "smallest" if sys.min_size == 0 else "largest"
         if direction not in ("largest", "smallest"):
             raise ValueError(f"unknown direction {direction!r}")
         sys.check_termination(degmax)
@@ -85,9 +71,7 @@ class RecurrenceState:
         self.qmax = qmax
         self.degmax = degmax
         self.direction = direction
-        self._parts: list[ColouredPart] = []
         self._E: list[list[dict]] = []
-        self._index: dict[ColouredPart, int] = {}
         self._total: list[dict] = _one_buckets(qmax)
         self._g_cache: dict[tuple[int, int], TruncatedSeries] = {}
         self._series_cache: dict[int, TruncatedSeries] = {}
@@ -100,130 +84,73 @@ class RecurrenceState:
         parts = sys.parts_up_to(qmax)
         if degmax is not None:
             parts = [p for p in parts if sys.part_weight(p).degree <= degmax]
-        mirror = self.direction == "smallest"
-        if mirror:
-            parts = list(reversed(parts))
+        # sign +1 takes parts in rank order, each the new largest part, with
+        # the next part below as its neighbour; sign -1 takes them in reverse
+        # as the new smallest part, with the next part above.  Either way a
+        # neighbour n of p is admissible iff
+        #     sign*size(n) <= sign*size(p) - gap(upper, lower).
+        sign = 1 if self.direction == "largest" else -1
+        if sign < 0:
+            parts.reverse()
+        self._parts = parts
+        self._index = {p: i for i, p in enumerate(parts)}
 
-        # Largest-part direction: running sums are keyed by (lane of the new
-        # largest part, (colour, over) group of the parts admissible below
-        # it); within a group, sizes increase with processing order, so each
-        # sum advances a pointer over that group's computed parts.
-        #
-        # Smallest-part mirror: sums are keyed by (lane of the parts
-        # admissible above the new smallest part, its own (colour, over)
-        # group); within a lane, sizes decrease with processing order.
-        group_sizes: dict[tuple[str, bool], list[int]] = {}
-        lane_sizes: dict[str, list[int]] = {}
-        # gap rules read only the upper part's lane and the lower part's
-        # (colour, over) group, so one representative part stands for each
-        group_rep: dict[tuple[str, bool], ColouredPart] = {}
-        lane_rep: dict[str, ColouredPart] = {}
-        for p in parts:
-            grp, lane = (p.colour, p.over), _lane_of(sys, p)
-            group_sizes.setdefault(grp, []).append(p.size)
-            lane_sizes.setdefault(lane, []).append(p.size)
-            group_rep.setdefault(grp, p)
-            lane_rep.setdefault(lane, p)
-        for key in group_sizes:
-            group_sizes[key] = sorted(group_sizes[key])
-        for key in lane_sizes:
-            lane_sizes[key] = sorted(lane_sizes[key])
+        # the gap reads only the upper part's lane (its gap-matrix row) and
+        # the lower part's (colour, over) group: neighbours are classed by
+        # their own side and running sums keyed by p's side, so one
+        # representative stands for each class, and signed sizes rise along
+        # each class in processing order -- one monotone pointer per
+        # (sum, class) pair does the work
+        def group(p):
+            return p.colour, p.over
 
-        groups = sorted(group_sizes)
-        lanes = sorted(lane_sizes)
-        # computed E indices, in processing order, per group / per lane
-        computed_grp: dict[tuple[str, bool], list[int]] = {
-            g: [] for g in groups}
-        computed_lane: dict[str, list[int]] = {l: [] for l in lanes}
-        # every (lane, group) pair advances its own monotone pointer, but all
-        # pairs sharing an upper lane (largest) / a lower group (mirror) add
-        # into one shared accumulator, so each E is merged exactly once
-        ptrs: dict[tuple[str, tuple[str, bool]], int] = {
-            (lane, grp): 0 for lane in lanes for grp in groups}
-        shared: dict = ({lane: _zero_buckets(qmax) for lane in lanes}
-                        if not mirror else
-                        {grp: _zero_buckets(qmax) for grp in groups})
+        def lane(p):
+            if isinstance(sys.gap, MatrixGap):
+                return sys.gap.row_class(p)
+            return p.colour
 
-        for p in parts:
-            grp_p = (p.colour, p.over)
-            lane_p = _lane_of(sys, p)
-            size_p = p.size
-            if not mirror:
-                acc = shared[lane_p]
-                for grp in groups:
-                    g = sys.min_gap(p, group_rep[grp])
-                    self._advance_largest(acc, ptrs, lane_p, grp,
-                                          computed_grp[grp], group_sizes[grp],
-                                          size_p - g, p)
-            else:
-                acc = shared[grp_p]
-                for lane in lanes:
-                    g = sys.min_gap(lane_rep[lane], p)
-                    self._advance_smallest(acc, ptrs, lane, grp_p,
-                                           computed_lane[lane],
-                                           lane_sizes[lane], size_p + g, p,
-                                           lane_p)
+        nb_class, sum_key = (group, lane) if sign > 0 else (lane, group)
+        members: dict = {}
+        for i, p in enumerate(parts):
+            members.setdefault(nb_class(p), []).append(i)
+        classes = [(c, idx, [sign * parts[i].size for i in idx], parts[idx[0]])
+                   for c, idx in sorted(members.items())]
+        sums: dict = {}
+        ptrs: dict = {}
+
+        for i, p in enumerate(parts):
+            key, own = sum_key(p), nb_class(p)
+            acc = sums.setdefault(key, _zero_buckets(qmax))
+            for c, idx, signed, rep in classes:
+                gap = sys.min_gap(p, rep) if sign > 0 else sys.min_gap(rep, p)
+                bound = sign * p.size - gap
+                ptr = ptrs.get((key, c), 0)
+                while ptr < len(idx) and idx[ptr] < i and signed[ptr] <= bound:
+                    _add_shifted(acc, self._E[idx[ptr]])
+                    ptr += 1
+                ptrs[key, c] = ptr
+                need = bisect_right(signed, bound)
+                if c == own and sign * p.size <= bound:
+                    need -= 1  # p next to itself: the geometric closure below
+                if need > ptr:
+                    missing = next(parts[j] for j in idx[ptr:] if j != i)
+                    raise RecurrenceError(
+                        f"rank inconsistency: E for part {p} needs E for "
+                        f"{missing}, which comes after it in the "
+                        f"{self.direction}-part order; the gap rule and the "
+                        "part order are incompatible")
 
             # E_p = w q^s (1 + acc), closed geometrically by 1/(1 - w q^s)
             # when p may sit directly next to itself; the part list already
             # holds only sizes <= qmax and weights within degmax
             w = sys.part_weight(p)
             E_p = _zero_buckets(qmax)
-            E_p[size_p][w] = 1
-            _add_shifted(E_p, acc, size_p, w, 1, degmax)
+            E_p[p.size][w] = 1
+            _add_shifted(E_p, acc, p.size, w, 1, degmax)
             if sys.min_gap(p, p) <= 0:
-                _factor_step(E_p, 1, w, size_p, -1, degmax)
-
-            idx = len(self._parts)
-            self._index[p] = idx
-            self._parts.append(p)
+                _factor_step(E_p, 1, w, p.size, -1, degmax)
             self._E.append(E_p)
-            computed_grp[grp_p].append(idx)
-            computed_lane[lane_p].append(idx)
             _add_shifted(self._total, E_p)
-
-    def _advance_largest(self, acc, ptrs, lane, grp, comp, sizes, threshold,
-                         current) -> None:
-        key = (lane, grp)
-        ptr = ptrs[key]
-        while ptr < len(comp):
-            idx = comp[ptr]
-            if self._parts[idx].size > threshold:
-                break
-            _add_shifted(acc, self._E[idx])
-            ptr += 1
-        ptrs[key] = ptr
-        need = bisect_right(sizes, threshold)
-        if grp == (current.colour, current.over) and current.size <= threshold:
-            need -= 1  # the self-loop is handled by the geometric closure
-        if need > ptr:
-            missing = ColouredPart(sizes[ptr], grp[0], grp[1])
-            raise RecurrenceError(
-                f"rank inconsistency: E for part {current} needs E for "
-                f"{missing}, which has a higher rank; the gap rule and the "
-                "part order are incompatible")
-
-    def _advance_smallest(self, acc, ptrs, lane, grp, comp, sizes, threshold,
-                          current, current_lane) -> None:
-        key = (lane, grp)
-        ptr = ptrs[key]
-        while ptr < len(comp):
-            idx = comp[ptr]
-            if self._parts[idx].size < threshold:
-                break
-            _add_shifted(acc, self._E[idx])
-            ptr += 1
-        ptrs[key] = ptr
-        need = len(sizes) - bisect_left(sizes, threshold)
-        if lane == current_lane and current.size >= threshold:
-            need -= 1  # the self-loop is handled by the geometric closure
-        if need > ptr:
-            # parts in a lane are processed in descending size order
-            missing_size = sorted(sizes, reverse=True)[ptr]
-            raise RecurrenceError(
-                f"rank inconsistency: E for part {current} needs E for the "
-                f"size-{missing_size} part of lane {lane!r}, which has a "
-                "lower rank; the gap rule and the part order are incompatible")
 
     # -- lookups --------------------------------------------------------------
 
@@ -285,10 +212,11 @@ class RecurrenceState:
                 f"built with direction {self.direction!r}")
 
 
-def dp_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
-              direction: str = "auto") -> TruncatedSeries:
-    """Full generating function up to q^qmax via the recurrence engine."""
-    return RecurrenceState(sys, qmax, degmax, direction).total_series()
+def dp_series(sys: ColouredSystem, qmax: int,
+              degmax: int | None = None) -> TruncatedSeries:
+    """Full generating function up to q^qmax via the recurrence engine, in
+    the smallest-part order: a total needs no G/E lookups."""
+    return RecurrenceState(sys, qmax, degmax, "smallest").total_series()
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +427,8 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
                    degmax: int | None = None,
                    state: RecurrenceState | None = None) -> EquationReport:
     """Evaluate both sides for every k in range (and every colour binding)
-    and compare the truncated series exactly."""
+    and compare the truncated series exactly.  A given ``state`` must have
+    been built for the same system, qmax and degmax."""
     if sys is None:
         sys = build_preset(spec.system)
     if kmax is None:
@@ -508,7 +437,12 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
         raise EquationRangeError(
             f"equation {spec.name} is declared for k >= {spec.kmin}")
     if state is None:
-        state = RecurrenceState(sys, qmax, degmax, direction="largest")
+        state = RecurrenceState(sys, qmax, degmax)
+    elif (state.sys, state.qmax, state.degmax) != (sys, qmax, degmax):
+        raise RecurrenceError(
+            f"the recurrence state was built for {state.sys.name} at qmax "
+            f"{state.qmax}, degmax {state.degmax}; the check asks for "
+            f"{sys.name} at qmax {qmax}, degmax {degmax}")
     report = EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax, True)
     bindings = spec.colours or (None,)
     for k in range(spec.kmin, kmax + 1):

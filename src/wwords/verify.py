@@ -13,7 +13,8 @@ Engines:
     direct enumeration of the B side (and of the A side when the A side is
     itself a coloured system);
 ``recurrence``
-    the largest/smallest-part recurrence of :mod:`wwords.recurrence`;
+    the part-by-part recurrence of :mod:`wwords.recurrence` (its
+    smallest-part order, which builds totals fastest);
 ``product``
     expansion of the stated infinite product;
 ``dilation``
@@ -181,23 +182,18 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
                    qmax: int, degmax: int | None,
                    max_nodes: int | None) -> list[tuple[str, TruncatedSeries]]:
     """All (label, series) pairs one engine contributes."""
-    if engine == "enum":
-        out = [("enum", _apply_tail(
-            case, enumerate_series(build_preset(side_b_name), qmax, degmax,
-                                   max_nodes), qmax, b_side=True))]
+    if engine in ("enum", "recurrence"):
+        def series(name: str) -> TruncatedSeries:
+            if engine == "enum":
+                return enumerate_series(build_preset(name), qmax, degmax,
+                                        max_nodes)
+            return dp_series(build_preset(name), qmax, degmax)
+
+        out = [(engine, _apply_tail(case, series(side_b_name), qmax,
+                                    b_side=True))]
         if case.side_a is not None:
-            out.append(("enum-A", _apply_tail(
-                case, enumerate_series(build_preset(case.side_a), qmax, degmax,
-                                       max_nodes), qmax, b_side=False)))
-        return out
-    if engine == "recurrence":
-        out = [("recurrence", _apply_tail(
-            case, dp_series(build_preset(side_b_name), qmax, degmax),
-            qmax, b_side=True))]
-        if case.side_a is not None:
-            out.append(("recurrence-A", _apply_tail(
-                case, dp_series(build_preset(case.side_a), qmax, degmax),
-                qmax, b_side=False)))
+            out.append((f"{engine}-A", _apply_tail(
+                case, series(case.side_a), qmax, b_side=False)))
         return out
     if engine == "product":
         return [("product", _apply_tail(

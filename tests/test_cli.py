@@ -454,6 +454,9 @@ class TestEulerFactor:
     ["expand", "--product", "theorem-2", "--qmax", "4", "--degmax", "-1"],
     ["discover", "schur-dilated-mod3", "--primaries", "a,b", "--qmax", "-1"],
     ["enumerate", "schur-weighted", "--qmax", "ten"],
+    ["verify", "theorem-4", "--qmax", "8", "--statistics", "--samples", "-1"],
+    ["discover", "schur-dilated-mod3", "--primaries", "a,b", "--qmax", "12",
+     "--top", "-1"],
 ])
 def test_bad_order_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "wwords.cli", *argv],
@@ -461,6 +464,61 @@ def test_bad_order_is_usage_error(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "usage:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+
+def _good_input(kind):
+    """A valid input document of each kind, and the command that reads it."""
+    if kind == "system":
+        return (build_preset("distinct-odd").to_json(),
+                lambda path: ["enumerate", path, "--qmax", "3"])
+    if kind == "product":
+        return (identity_case("theorem-2").product.to_json(),
+                lambda path: ["expand", "--product", path, "--qmax", "3"])
+    if kind == "equation":
+        return (builtin_equation("schur-rec-a").to_json(),
+                lambda path: ["check-eq", path, "--qmax", "4"])
+    product = identity_case("theorem-2").product
+    return (product_expand(product, 4).to_json(),
+            lambda path: ["euler-factor", "--series", path])
+
+
+@pytest.mark.parametrize("kind,spoil", [
+    pytest.param("system", lambda d: d.pop("gap"), id="system-no-gap"),
+    pytest.param("system",
+                 lambda d: d["colours"][0]["domain"].update(modulus="2"),
+                 id="system-string-modulus"),
+    pytest.param("system", lambda d: d["gap"].update(rows=[]),
+                 id="system-rows-list"),
+    pytest.param("product", lambda d: d[0].pop("start"),
+                 id="product-no-start"),
+    pytest.param("product", lambda d: d[1].update(power="x"),
+                 id="product-word-power"),
+    pytest.param("equation", lambda d: d.pop("lhs"), id="equation-no-lhs"),
+    pytest.param("equation", lambda d: d.update(kmin="k"),
+                 id="equation-word-kmin"),
+    pytest.param("equation", lambda d: d["rhs"][1].update(size=5),
+                 id="equation-scalar-size"),
+    pytest.param("series", lambda d: d.update(qmax="q"),
+                 id="series-word-qmax"),
+    pytest.param("series", lambda d: d["coefficients"].append(5),
+                 id="series-scalar-coefficient"),
+])
+def test_malformed_input_file_is_usage_error(tmp_path, kind, spoil):
+    doc, argv = _good_input(kind)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv(str(path)))[0] == 0
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    code, _, err = run(argv(str(path)))
+    assert code == 2, err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

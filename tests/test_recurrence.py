@@ -66,8 +66,11 @@ AGREEMENT_CASES = [
 
 @pytest.mark.parametrize("name,qmax,degmax", AGREEMENT_CASES)
 def test_dp_matches_enumeration(name, qmax, degmax):
+    # the largest-part tables, the smallest-part tables and enumeration
     sys = build_preset(name)
-    assert dp_series(sys, qmax, degmax) == enumerate_series(sys, qmax, degmax)
+    largest = RecurrenceState(sys, qmax, degmax).total_series()
+    assert largest == dp_series(sys, qmax, degmax) == enumerate_series(
+        sys, qmax, degmax)
 
 
 @pytest.mark.parametrize("name,qmax,degmax", [
@@ -80,9 +83,9 @@ def test_dp_matches_enumeration(name, qmax, degmax):
 ])
 def test_both_directions_agree(name, qmax, degmax):
     sys = build_preset(name)
-    largest = dp_series(sys, qmax, degmax, direction="largest")
-    smallest = dp_series(sys, qmax, degmax, direction="smallest")
-    assert largest == smallest
+    largest = RecurrenceState(sys, qmax, degmax, direction="largest")
+    smallest = RecurrenceState(sys, qmax, degmax, direction="smallest")
+    assert largest.total_series() == smallest.total_series()
 
 
 def test_two_colour_series_prefix():
@@ -109,7 +112,7 @@ def test_qmax_zero_gives_constant_one():
 
 def test_invalid_direction_rejected():
     with pytest.raises(ValueError, match="direction"):
-        dp_series(build_preset("schur-weighted"), 4, direction="sideways")
+        RecurrenceState(build_preset("schur-weighted"), 4, direction="sideways")
 
 
 def test_degmax_required_for_size_zero_parts():
@@ -202,7 +205,8 @@ def test_smallest_direction_state_has_no_part_lookups():
 
 def test_rank_inconsistency_detected():
     # colour u allows colour-v parts one size above it directly below itself,
-    # so computing E for k_u needs E for (k+1)_v, which has a higher rank
+    # so computing E for k_u needs E for (k+1)_v, which has a higher rank (and
+    # in the smallest-part order, the other way round)
     sys = ColouredSystem(
         name="bad",
         colours=(
@@ -212,8 +216,9 @@ def test_rank_inconsistency_detected():
         gap=MatrixGap({"u": {"u": 1, "v": -1}, "v": {"u": 2, "v": 1}}),
         rank_rule=RankRule(2, {"u": 0, "v": 1}),
     )
-    with pytest.raises(RecurrenceError, match="rank inconsistency"):
-        dp_series(sys, 6)
+    for direction in ("largest", "smallest"):
+        with pytest.raises(RecurrenceError, match="rank inconsistency"):
+            RecurrenceState(sys, 6, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +298,19 @@ def test_equation_report_structure():
     assert data["qmax"] == 6
     assert data["holds"] is True
     assert data["failures"] == []
+
+
+@pytest.mark.parametrize("system,qmax,degmax", [
+    ("schur-weighted", 20, None),
+    ("schur-weighted", 8, 4),
+    ("primc-weighted", 8, None),
+])
+def test_state_built_for_another_check_rejected(system, qmax, degmax):
+    # a report must not claim an order, cap or system its state never saw
+    state = RecurrenceState(build_preset("schur-weighted"), 8)
+    with pytest.raises(RecurrenceError, match="state was built for"):
+        check_equation(builtin_equation("schur-rec-a"), build_preset(system),
+                       kmax=3, qmax=qmax, degmax=degmax, state=state)
 
 
 def test_failing_equation_reports_first_mismatch():

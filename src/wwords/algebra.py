@@ -5,7 +5,7 @@ integers attached to monomials in named colour variables, and a series is
 truncated at a fixed q-order ``qmax`` (optionally also at a total colour
 degree ``degmax``).  The pieces fit together as
 
-    Monomial        a^2*b              (immutable, hashable)
+    Monomial        a^2*b              (immutable, interned)
     Polynomial      3*a^2*b - c        (sparse dict of monomials)
     TruncatedSeries sum c_n(vars) q^n  for n = 0..qmax
     ProductSpec     prod (1 - c q^(start+j*mod))^(-power)
@@ -14,6 +14,9 @@ degree ``degmax``).  The pieces fit together as
 Monomials are ordered graded-lexicographically; ties inside a degree are
 broken by the variable names themselves (alphabetical), so the order is a
 fixed property of the data and does not depend on construction order.
+They are interned: there is one instance per value, so the dict lookups
+of every kernel compare and hash them by identity.  Their hash is not
+stable across processes, and no output depends on it.
 
 Every series product in the package runs on one in-place kernel over
 buckets (``list[dict[Monomial, int]]``, index = power of q):
@@ -53,17 +56,27 @@ class FactorizationError(AlgebraError):
 # monomials
 # ---------------------------------------------------------------------------
 
+#: the one instance of each monomial, by its sorted item tuple
+_INTERNED: dict[tuple[tuple[str, int], ...], "Monomial"] = {}
+#: products already formed; a cache, emptied when it reaches the limit
+_PRODUCTS: dict[tuple["Monomial", "Monomial"], "Monomial"] = {}
+_PRODUCTS_LIMIT = 1 << 12
+
 
 class Monomial:
     """A product of variables with positive integer exponents.
 
     Internally a sorted tuple of (name, exponent) pairs; the empty tuple is
-    the monomial 1.  Instances are immutable and hashable.
+    the monomial 1.  Instances are immutable and interned: the constructor
+    returns the one instance for each value, so equal monomials are the same
+    object and compare and hash by identity.  A hash is therefore stable
+    within a process but not across processes; pickling and copying keep
+    one instance per value.
     """
 
-    __slots__ = ("_items", "_degree", "_hash")
+    __slots__ = ("_items", "_degree")
 
-    def __init__(self, items: Iterable[tuple[str, int]] = ()):
+    def __new__(cls, items: Iterable[tuple[str, int]] = ()) -> "Monomial":
         merged: dict[str, int] = {}
         for name, exp in items:
             if exp == 0:
@@ -71,9 +84,22 @@ class Monomial:
             if exp < 0:
                 raise AlgebraError(f"negative exponent for variable {name!r}")
             merged[name] = merged.get(name, 0) + exp
-        self._items = tuple(sorted(merged.items()))
-        self._degree = sum(e for _, e in self._items)
-        self._hash = hash(self._items)
+        key = tuple(sorted(merged.items()))
+        mono = _INTERNED.get(key)
+        if mono is None:
+            mono = _INTERNED[key] = object.__new__(cls)
+            mono._items = key
+            mono._degree = sum(merged.values())
+        return mono
+
+    def __reduce__(self):
+        return Monomial, (self._items,)
+
+    def __copy__(self) -> "Monomial":
+        return self
+
+    def __deepcopy__(self, memo) -> "Monomial":
+        return self
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -112,7 +138,12 @@ class Monomial:
             return other
         if not other._items:
             return self
-        return Monomial(self._items + other._items)
+        product = _PRODUCTS.get((self, other))
+        if product is None:
+            if len(_PRODUCTS) >= _PRODUCTS_LIMIT:
+                _PRODUCTS.clear()
+            product = _PRODUCTS[self, other] = Monomial(self._items + other._items)
+        return product
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -124,12 +155,6 @@ class Monomial:
     def sort_key(self) -> tuple:
         """Graded-lexicographic key: degree first, then the item tuple."""
         return (self._degree, self._items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key() < other.sort_key()

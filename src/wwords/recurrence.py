@@ -10,10 +10,16 @@ p, via
 
 closing self-admissible parts (min_gap(p, p) <= 0) with a geometric series.
 G_p is the cumulative sum 1 + sum of E at ranks <= rank(p), which equation
-checks look up.  The smallest-part order is the same recursion run in
-reverse rank order, each part the new smallest one; it answers no G/E
-lookups but builds the full generating function (everything with size <=
-qmax) faster, so ``dp_series`` uses it.
+checks look up.  The parts a G covers are a prefix of the rank order, so
+each new G is the nearest shorter cached prefix sum plus the E tables in
+between.  The smallest-part order is the same recursion run in reverse
+rank order, each part the new smallest one; it answers no G/E lookups but
+builds the full generating function (everything with size <= qmax)
+faster, so ``dp_series`` uses it.
+
+Erased variables are set to 1 in the part weights when there is no degree
+cap, so they never enter the tables.  Under a cap their degree still counts
+against it, so the tables keep them and each lookup sets them to 1.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -57,7 +63,10 @@ class RecurrenceState:
 
     direction "largest" (the default) builds largest-part tables in rank
     order, which answer G/E lookups; "smallest" builds smallest-part tables
-    in reverse rank order, which give only the total series.
+    in reverse rank order, which give only the total series.  G is answered
+    from prefix sums of the E tables, cached by the number of parts they
+    cover.  Erased variables leave the part weights when degmax is None;
+    with a cap they are set to 1 on each lookup.
     """
 
     def __init__(self, sys: ColouredSystem, qmax: int,
@@ -71,11 +80,17 @@ class RecurrenceState:
         self.qmax = qmax
         self.degmax = degmax
         self.direction = direction
+        # erased variables are set to 1: in the part weights, unless a
+        # degree cap must still count their degree, and then on each lookup
+        self._erase_on_lookup = degmax is not None and bool(sys.erased_vars)
         self._E: list[list[dict]] = []
         self._total: list[dict] = _one_buckets(qmax)
-        self._g_cache: dict[tuple[int, int], TruncatedSeries] = {}
         self._series_cache: dict[int, TruncatedSeries] = {}
         self._build()
+        # G by the number of parts it covers: (prefix sum, its series); the
+        # series never shares the buckets that longer prefixes start from
+        self._g_cache: dict[int, tuple[list[dict], TruncatedSeries]] = {
+            0: (_one_buckets(qmax), self._finish(_one_buckets(qmax)))}
 
     # -- construction -------------------------------------------------------
 
@@ -94,6 +109,8 @@ class RecurrenceState:
             parts.reverse()
         self._parts = parts
         self._index = {p: i for i, p in enumerate(parts)}
+        # ascending in the largest-part order, the one where G bisects it
+        self._keys = [sys.part_key(p) for p in parts]
 
         # the gap reads only the upper part's lane (its gap-matrix row) and
         # the lower part's (colour, over) group: neighbours are classed by
@@ -144,6 +161,9 @@ class RecurrenceState:
             # when p may sit directly next to itself; the part list already
             # holds only sizes <= qmax and weights within degmax
             w = sys.part_weight(p)
+            if sys.erased_vars and not self._erase_on_lookup:
+                w = Monomial((v, e) for v, e in w.items
+                             if v not in sys.erased_vars)
             E_p = _zero_buckets(qmax)
             E_p[p.size][w] = 1
             _add_shifted(E_p, acc, p.size, w, 1, degmax)
@@ -156,7 +176,7 @@ class RecurrenceState:
 
     def _finish(self, buckets: list[dict]) -> TruncatedSeries:
         series = TruncatedSeries._from_buckets(buckets, self.degmax)
-        if self.sys.erased_vars:
+        if self._erase_on_lookup:
             series = series.specialize({v: 1 for v in self.sys.erased_vars})
         return series
 
@@ -195,15 +215,18 @@ class RecurrenceState:
             return TruncatedSeries.one(self.qmax, self.degmax)
         self.sys.colour(colour)
         key = (self.sys.rank_rule.rank(ColouredPart(size, colour, False)), 1)
-        cached = self._g_cache.get(key)
+        # parts run in rank order, so the parts G covers are a prefix
+        n = bisect_right(self._keys, key)
+        cached = self._g_cache.get(n)
         if cached is None:
-            buckets = _one_buckets(self.qmax)
-            for idx, p in enumerate(self._parts):
-                if self.sys.part_key(p) <= key:
-                    _add_shifted(buckets, self._E[idx])
-            cached = self._finish(buckets)
-            self._g_cache[key] = cached
-        return cached
+            # the nearest shorter cached prefix plus the E tables in between
+            start = max(m for m in self._g_cache if m < n)
+            buckets = [dict(b) for b in self._g_cache[start][0]]
+            for E_p in self._E[start:n]:
+                _add_shifted(buckets, E_p)
+            series = self._finish([dict(b) for b in buckets])
+            cached = self._g_cache[n] = (buckets, series)
+        return cached[1]
 
     def _require_largest(self) -> None:
         if self.direction != "largest":

@@ -631,10 +631,6 @@ def min_gap(sys: ColouredSystem, upper: ColouredPart, lower: ColouredPart) -> in
     return sys.min_gap(upper, lower)
 
 
-def part_rank(sys: ColouredSystem, part: ColouredPart) -> int:
-    return sys.part_rank(part)
-
-
 def andrews_colour_data(i: int, r: int | None = None) -> tuple[Monomial, int, int, int]:
     """(weight, w, v, z) for composite colour index i >= 1: weight is the
     product of primary variables u_k over set bits of i, w the number of set

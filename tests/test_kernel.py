@@ -1,12 +1,14 @@
 """The series kernel seen through the engines: the recurrence on generated
-systems against enumeration, specialization against direct evaluation, and
-product factors with large exponents."""
+systems against enumeration and its G/E lookups against fresh sums,
+specialization against direct evaluation, and product factors with large
+exponents."""
 
 import random
 import time
 
 from wwords import (
     ColourDef,
+    ColouredPart,
     ColouredSystem,
     MatrixGap,
     Monomial,
@@ -60,9 +62,9 @@ def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
         return None
 
 
-def test_recurrence_matches_enumeration_on_random_systems():
-    rng = random.Random(31337)
-    checked = {"all": 0, "zero": 0, "erased": 0, "degmax": 0, "over": 0}
+def _random_cases(seed: int):
+    """(system, qmax, degmax) for the generated systems validate() accepts."""
+    rng = random.Random(seed)
     for attempt in range(150):
         sys = _random_system(rng, attempt)
         if sys is None:
@@ -70,6 +72,12 @@ def test_recurrence_matches_enumeration_on_random_systems():
         qmax = rng.randrange(6, 11)
         degmax = (rng.randrange(3, 6) if sys.has_zero_parts or rng.random() < 0.3
                   else None)
+        yield sys, qmax, degmax
+
+
+def test_recurrence_matches_enumeration_on_random_systems():
+    checked = {"all": 0, "zero": 0, "erased": 0, "degmax": 0, "over": 0}
+    for sys, qmax, degmax in _random_cases(31337):
         expected = enumerate_series(sys, qmax, degmax)
         for direction in ("largest", "smallest"):
             got = RecurrenceState(sys, qmax, degmax, direction).total_series()
@@ -80,6 +88,41 @@ def test_recurrence_matches_enumeration_on_random_systems():
         checked["degmax"] += degmax is not None
         checked["over"] += sys.overline_marker is not None
     assert min(checked.values()) >= 3, checked
+
+
+def _snapshot(f: TruncatedSeries) -> list[dict]:
+    return [dict(f.coefficient(n).terms) for n in range(f.qmax + 1)]
+
+
+def test_lookups_equal_a_fresh_sum_in_any_order():
+    """G and E asked in a shuffled order, twice: each G equals 1 plus the E
+    of every part within its key, and no answer changes after the fact."""
+    rng = random.Random(4242)
+    erased_and_capped = 0
+    for sys, qmax, degmax in _random_cases(31337):
+        state = RecurrenceState(sys, qmax, degmax)
+        parts = state.parts()
+        queries = [("E", p.size, p.colour, p.over) for p in parts]
+        queries += [("G", size, c.label, False)
+                    for size in range(qmax + 1) for c in sys.colours]
+        first = {}
+        for _ in range(2):
+            rng.shuffle(queries)
+            for kind, size, colour, over in queries:
+                if kind == "E":
+                    got = state.E(size, colour, over)
+                else:
+                    got = state.G(size, colour)
+                    key = (sys.rank_rule.rank(ColouredPart(size, colour)), 1)
+                    expected = TruncatedSeries.one(qmax, degmax)
+                    for p in parts:
+                        if sys.part_key(p) <= key:
+                            expected = expected + state.E(p.size, p.colour, p.over)
+                    assert got == expected, (sys.to_json(), qmax, degmax, size, colour)
+                query = (kind, size, colour, over)
+                assert _snapshot(got) == first.setdefault(query, _snapshot(got))
+        erased_and_capped += bool(sys.erased_vars) and degmax is not None
+    assert erased_and_capped >= 1
 
 
 def _evaluate(poly: Polynomial, point: dict[str, int]) -> int:

@@ -1,8 +1,18 @@
-"""Monomial and Polynomial arithmetic: exactness, ordering, ring axioms."""
+"""Monomial and Polynomial arithmetic: exactness, ordering, ring axioms,
+and one object per monomial value."""
 
+import copy
+import pickle
 import random
 
-from wwords.algebra import AlgebraError, Monomial, Polynomial
+from wwords.algebra import (
+    AlgebraError,
+    Monomial,
+    Polynomial,
+    SubstitutionMap,
+    TruncatedSeries,
+    substitute,
+)
 
 import pytest
 
@@ -129,3 +139,34 @@ def test_polynomial_str_is_deterministic():
         Monomial([("a", 1), ("b", 1)]): -2,
     })
     assert str(p) == "a + b - 2*a*b"
+
+
+def test_equal_monomials_are_one_object():
+    ab2 = Monomial([("a", 1), ("b", 2)])
+    a, b = Monomial.var("a"), Monomial.var("b")
+    assert Monomial([("b", 2), ("a", 1)]) is ab2
+    assert Monomial([("b", 1), ("a", 1), ("b", 1), ("c", 0)]) is ab2
+    assert Monomial.var("a") is a and Monomial.var("a", 0) is Monomial.one()
+    assert Monomial.from_dict({"b": 2, "a": 1}) is ab2
+    assert a * b * b is ab2 and b * (b * a) is ab2
+    assert (a * b) ** 2 is Monomial([("a", 2), ("b", 2)])
+    assert a ** 0 is Monomial.one() and Monomial() is Monomial.one()
+
+    f = TruncatedSeries.from_term(3, 1, Polynomial.term(
+        Monomial([("a", 1), ("b", 2), ("c", 4)]), 5))
+    (mono,) = f.specialize({"c": 1}).coefficient(1).terms
+    assert mono is ab2
+    g = substitute(TruncatedSeries.from_term(3, 1, Polynomial.term(
+        Monomial([("c", 1), ("d", 2)]))),
+        SubstitutionMap(1, {"c": (a, 0), "d": (b, 0)}), 3)
+    (mono,) = g.coefficient(1).terms
+    assert mono is ab2
+    (mono,) = Polynomial.from_json([[3, {"b": 2, "a": 1}]]).terms
+    assert mono is ab2
+
+    assert pickle.loads(pickle.dumps(ab2)) is ab2
+    assert pickle.loads(pickle.dumps(Monomial.one())) is Monomial.one()
+    p = Polynomial({ab2: 2, a: -1})
+    assert all(m is n for m, n in zip(pickle.loads(pickle.dumps(p)).terms, p.terms))
+    assert copy.copy(ab2) is ab2 and copy.deepcopy(ab2) is ab2
+    assert all(m is n for m, n in zip(copy.deepcopy(p).terms, p.terms))

@@ -17,7 +17,6 @@ from wwords import (
     build_preset,
     dilate_system,
     min_gap,
-    part_rank,
     preset_dilation,
     preset_names,
     statistic_substitution,
@@ -119,9 +118,9 @@ def test_preset_registry_listing():
 def test_schur_weighted_order_and_gaps():
     sys = build_preset("schur-weighted")
     # order on coloured integers: 1_ab < 1_a < 1_b < 2_ab < 2_a < 2_b < ...
-    assert part_rank(sys, P(2, "ab")) == 3
-    assert part_rank(sys, P(1, "a")) == 1
-    assert part_rank(sys, P(1, "b")) == 2
+    assert sys.part_rank(P(2, "ab")) == 3
+    assert sys.part_rank(P(1, "a")) == 1
+    assert sys.part_rank(P(1, "b")) == 2
     # gap 2 below an ab part and below ascending colour pairs, else 1
     assert min_gap(sys, P(5, "ab"), P(3, "a")) == 2
     assert min_gap(sys, P(5, "a"), P(4, "b")) == 2   # a < b ascending downward
@@ -155,7 +154,7 @@ def test_five_colour_order_segment():
     }
     for p, rk in expected_ranks.items():
         assert sys.rank_rule.rank(p) == rk
-    assert part_rank(sys, P(3, "a2")) == 6
+    assert sys.part_rank(P(3, "a2")) == 6
 
 
 def test_five_colour_domains_and_conventions():
@@ -194,7 +193,7 @@ def test_part_validity_reasons():
     assert "domain" in sys.part_validity(P(2, "a2"))
     assert "unknown colour" in sys.part_validity(P(2, "zz"))
     with pytest.raises(SystemSpecError):
-        part_rank(sys, P(1, "ab"))
+        sys.part_rank(P(1, "ab"))
     with pytest.raises(SystemSpecError):
         min_gap(sys, P(2, "a2"), P(1, "a"))
 

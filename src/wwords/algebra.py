@@ -639,10 +639,6 @@ class SubstitutionMap:
             raise SubstitutionError("q must map to a positive power of q")
         object.__setattr__(self, "images", dict(self.images))
 
-    @classmethod
-    def identity(cls) -> "SubstitutionMap":
-        return cls(1, {})
-
     def max_negative_shift(self) -> int:
         """Largest |shift| among negative shifts (0 if none)."""
         return max((-s for _, s in self.images.values() if s < 0), default=0)

@@ -16,8 +16,9 @@ Exit codes: 0 = verified/equal/success, 1 = a mismatch was found (the
 report is still emitted), 2 = usage or engine error (message and usage on
 standard error; in JSON mode the error is also emitted as a document).
 
-The environment variable ``WWORDS_MAX_NODES`` overrides the enumeration
-safety bound for all subcommands that walk partition chains.
+The environment variable ``WWORDS_MAX_NODES`` is the enumeration budget
+of every subcommand that walks partition chains, as it is for the
+library.
 """
 
 from __future__ import annotations

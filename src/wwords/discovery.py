@@ -58,7 +58,7 @@ SEARCH_SPACE_LIMIT = 1_000_000
 
 
 class DiscoveryError(ValueError):
-    """Raised for invalid discovery requests (bad window, oversized search)."""
+    """Raised for invalid discovery requests (bad order, oversized search)."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,7 @@ def _pattern_factors(rows: Sequence[Mapping[Monomial, int]],
     return factors
 
 
-def recognize_periodic_product(f: TruncatedSeries,
-                               qmax: int | None = None) -> PeriodicPattern | None:
+def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
     """Recognize a periodic infinite-product shape in a series.
 
     The series is Euler-factorized (its constant term must be 1) and the
@@ -150,14 +149,11 @@ def recognize_periodic_product(f: TruncatedSeries,
     success the periodic pattern is re-expanded and compared against the
     input on the whole window; ``None`` is returned when no period is found
     *or* when the re-expansion check fails, so any returned pattern is a
-    proven product representation up to the truncation order.
+    proven product representation up to the truncation order.  The window
+    is the series' own, ``0..f.qmax``: to recognize a shorter window, pass
+    ``f.truncate(n)``.
     """
-    if qmax is None:
-        qmax = f.qmax
-    if qmax < 0 or qmax > f.qmax:
-        raise DiscoveryError(
-            f"recognition window 0..{qmax} is outside the series window 0..{f.qmax}")
-    f = f.truncate(qmax)
+    qmax = f.qmax
     rows = _exponent_rows(euler_factorize(f), qmax)
     if all(not row for row in rows):
         return PeriodicPattern(1, 0, ProductSpec([]), 0)
@@ -197,13 +193,6 @@ class RelationCandidate:
     @property
     def factors_per_period(self) -> int | None:
         return self.pattern.factors_per_period if self.pattern else None
-
-    def substitution_dict(self) -> dict[str, Monomial]:
-        return dict(self.substitution)
-
-    def score(self) -> tuple[bool, int | None]:
-        """(product-like, distinct factor families per period)."""
-        return self.product_like, self.factors_per_period
 
     def to_json(self) -> dict:
         data = {
@@ -284,8 +273,7 @@ def _key_monomial(key, primaries: Sequence[str]) -> Monomial:
 def search_relations(system: ColouredSystem,
                      primaries: Sequence[str],
                      qmax: int,
-                     max_exponent: int = 2,
-                     max_nodes: int | None = None) -> list[RelationCandidate]:
+                     max_exponent: int = 2) -> list[RelationCandidate]:
     """Search substitutions of free colours that make the series a product.
 
     Every colour variable of ``system`` not listed in ``primaries`` is free;
@@ -317,7 +305,7 @@ def search_relations(system: ColouredSystem,
             f"search space of {total} substitutions exceeds {SEARCH_SPACE_LIMIT}; "
             "reduce max_exponent or the number of free colours")
 
-    base = enumerate_series(system, qmax, max_nodes=max_nodes)
+    base = enumerate_series(system, qmax)
     if not free:
         pattern = recognize_periodic_product(base)
         return [RelationCandidate((), pattern is not None, pattern)]
@@ -337,6 +325,9 @@ def search_relations(system: ColouredSystem,
     vecs = list(itertools.product(range(max_exponent + 1), repeat=len(prims)))
     image_monos = {vec: Monomial.from_dict({p: e for p, e in zip(prims, vec) if e})
                    for vec in vecs}
+    # one (variable, image) pair per free variable and image, shared by
+    # every candidate's substitution
+    choices = [{vec: (v, image_monos[vec]) for vec in vecs} for v in free]
 
     def verified_pattern(rows, m: int, s: int, images) -> PeriodicPattern | None:
         mono_rows: list[dict] = [
@@ -362,7 +353,7 @@ def search_relations(system: ColouredSystem,
                            for n in range(s + 1, qmax - m + 1)):
                         pattern = verified_pattern(rows, m, s, images)
                         break
-            sub = tuple((v, image_monos[images[i]]) for i, v in enumerate(free))
+            sub = tuple(choices[i][vec] for i, vec in enumerate(images))
             yield RelationCandidate(sub, pattern is not None, pattern)
 
     found = list(candidates())

@@ -19,13 +19,13 @@ _MAX_NODES_ENV = "WWORDS_MAX_NODES"
 
 
 class EnumerationLimitError(RuntimeError):
-    """The partition walk exceeded its node budget, or the budget set in
-    the environment is not a positive integer."""
+    """The partition walk exceeded its node budget, or that budget is not a
+    positive integer.  The one budget is the ``WWORDS_MAX_NODES``
+    environment variable (default ``DEFAULT_MAX_NODES`` partitions), read
+    when a walk starts, for the CLI and the library alike."""
 
 
-def _node_budget(max_nodes: int | None) -> int:
-    if max_nodes is not None:
-        return max_nodes
+def _node_budget() -> int:
     raw = os.environ.get(_MAX_NODES_ENV)
     if raw is None:
         return DEFAULT_MAX_NODES
@@ -96,8 +96,7 @@ def _prepare(sys: ColouredSystem, qmax: int, degmax: int | None):
     return parts, below
 
 
-def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
-          max_nodes: int | None, visit):
+def _walk(sys: ColouredSystem, qmax: int, degmax: int | None, visit):
     """Run the DFS, calling visit(chain, weight, total) at every partition.
 
     The empty partition is visited first with weight 1 and total 0.  The
@@ -105,7 +104,7 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
     the number of parts is not bounded by Python's recursion limit.
     """
     parts, below = _prepare(sys, qmax, degmax)
-    budget = _node_budget(max_nodes)
+    budget = _node_budget()
     count = 0
     weights = {p: sys.part_weight(p) for p in parts}
     degs = {p: w.degree for p, w in weights.items()}
@@ -125,8 +124,7 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
             if count > budget:
                 raise EnumerationLimitError(
                     f"enumeration exceeded {budget} partitions; raise the "
-                    f"limit via the {_MAX_NODES_ENV} environment variable "
-                    "or max_nodes")
+                    f"limit via the {_MAX_NODES_ENV} environment variable")
             w = weight * weights[p]
             chain.append(p)
             visit(tuple(chain), w, t)
@@ -138,8 +136,8 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
                 chain.pop()
 
 
-def enumerate_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
-                     max_nodes: int | None = None) -> TruncatedSeries:
+def enumerate_series(sys: ColouredSystem, qmax: int,
+                     degmax: int | None = None) -> TruncatedSeries:
     """Generating function sum(weight * q^size) over all valid partitions,
     truncated beyond q^qmax, by direct enumeration.
 
@@ -151,7 +149,7 @@ def enumerate_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
     def visit(chain, weight, total):
         buckets[total][weight] = buckets[total].get(weight, 0) + 1
 
-    _walk(sys, qmax, degmax, max_nodes, visit)
+    _walk(sys, qmax, degmax, visit)
     coeffs = [Polynomial(b) for b in buckets]
     series = TruncatedSeries(qmax, coeffs, degmax=degmax)
     if sys.erased_vars:
@@ -159,8 +157,8 @@ def enumerate_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
     return series
 
 
-def list_partitions(sys: ColouredSystem, n: int, degmax: int | None = None,
-                    max_nodes: int | None = None) -> list[tuple[ColouredPart, ...]]:
+def list_partitions(sys: ColouredSystem, n: int,
+                    degmax: int | None = None) -> list[tuple[ColouredPart, ...]]:
     """All valid partitions of total size exactly n, each listed largest part
     first, ordered lexicographically by their rank sequences."""
     found: list[tuple[ColouredPart, ...]] = []
@@ -169,18 +167,18 @@ def list_partitions(sys: ColouredSystem, n: int, degmax: int | None = None,
         if total == n:
             found.append(chain)
 
-    _walk(sys, n, degmax, max_nodes, visit)
+    _walk(sys, n, degmax, visit)
     found.sort(key=lambda ch: [sys.part_key(p) for p in ch])
     return found
 
 
-def count_partitions(sys: ColouredSystem, qmax: int, degmax: int | None = None,
-                     max_nodes: int | None = None) -> list[int]:
+def count_partitions(sys: ColouredSystem, qmax: int,
+                     degmax: int | None = None) -> list[int]:
     """Number of valid partitions of each 0..qmax (weights ignored)."""
     counts = [0] * (qmax + 1)
 
     def visit(chain, weight, total):
         counts[total] += 1
 
-    _walk(sys, qmax, degmax, max_nodes, visit)
+    _walk(sys, qmax, degmax, visit)
     return counts

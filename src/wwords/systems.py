@@ -12,7 +12,6 @@ ranks, and domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, NamedTuple
 
@@ -324,112 +323,26 @@ class RankRule:
 
 @dataclass(frozen=True)
 class DilationSpec:
-    """q -> q^modulus with per-weight-variable q-shifts.
+    """A dilation as a substitution of the colour variables:
+    q -> q^modulus and v -> v * q^var_shifts[v] (Siladic's theorem uses
+    q -> q^4, a -> a*q^-3, b -> b*q^-1).
 
-    Colour offsets o_x (the amount added to m*size for colour x) follow from
-    the colour's weight monomial: o_x = sum over weight variables of
-    exponent * var_shift.  A spec may instead be given colour offsets
-    directly, in which case compatible var shifts are solved for when the
-    series-level substitution is requested.
+    A colour's offset o_x (the amount added to m*size for colour x) follows
+    from its weight monomial: o_x = sum over weight variables of
+    exponent * var_shift; a variable with no shift has shift 0.
     """
 
     modulus: int
-    var_shifts: Mapping[str, int] | None = None
-    colour_offsets: Mapping[str, int] | None = None
+    var_shifts: Mapping[str, int]
 
     def __post_init__(self):
         if self.modulus < 1:
             raise SystemSpecError("dilation modulus must be positive")
-        if self.var_shifts is None and self.colour_offsets is None:
-            raise SystemSpecError("dilation needs var shifts or colour offsets")
-        if self.var_shifts is not None:
-            object.__setattr__(self, "var_shifts", dict(self.var_shifts))
-        if self.colour_offsets is not None:
-            object.__setattr__(self, "colour_offsets", dict(self.colour_offsets))
+        object.__setattr__(self, "var_shifts", dict(self.var_shifts))
 
     def offset_of(self, colour: ColourDef) -> int:
-        if self.var_shifts is not None:
-            return sum(exp * self.var_shifts.get(name, 0)
-                       for name, exp in colour.weight.items)
-        try:
-            return self.colour_offsets[colour.label]
-        except KeyError:
-            raise SystemSpecError(f"no dilation offset for colour {colour.label!r}")
-
-    def resolved_var_shifts(self, sys: "ColouredSystem") -> dict[str, int]:
-        """Var shifts, solving weight-vars * shifts = colour offsets if needed."""
-        if self.var_shifts is not None:
-            return dict(self.var_shifts)
-        return _solve_var_shifts(sys, self.colour_offsets)
-
-    def to_json(self) -> dict:
-        out: dict = {"modulus": self.modulus}
-        if self.var_shifts is not None:
-            out["var_shifts"] = dict(self.var_shifts)
-        if self.colour_offsets is not None:
-            out["colour_offsets"] = dict(self.colour_offsets)
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DilationSpec":
-        return cls(
-            modulus=int(data["modulus"]),
-            var_shifts=data.get("var_shifts"),
-            colour_offsets=data.get("colour_offsets"),
-        )
-
-
-def _solve_var_shifts(sys: "ColouredSystem",
-                      offsets: Mapping[str, int]) -> dict[str, int]:
-    """Solve sum(exp_x,v * s_v) = o_x exactly over the rationals.
-
-    Any exact solution gives the same q-shift on every realizable weight
-    monomial, so underdetermined systems just take free variables as 0.
-    """
-    variables = sorted({name for c in sys.colours for name, _ in c.weight.items})
-    rows: list[list[Fraction]] = []
-    for c in sys.colours:
-        if c.label not in offsets:
-            raise SystemSpecError(f"no dilation offset for colour {c.label!r}")
-        row = [Fraction(c.weight.exponent(v)) for v in variables]
-        row.append(Fraction(offsets[c.label]))
-        rows.append(row)
-    ncols = len(variables)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_of_col[col] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            raise SystemSpecError(
-                "colour offsets are not consistent with any per-variable q-shift")
-    shifts: dict[str, int] = {}
-    for col, v in enumerate(variables):
-        if col in pivot_of_col:
-            val = rows[pivot_of_col[col]][ncols]
-            if val.denominator != 1:
-                raise SystemSpecError(
-                    f"q-shift for variable {v!r} is not an integer ({val})")
-            shifts[v] = int(val)
-        else:
-            shifts[v] = 0
-    # free columns were taken as 0, so recheck every colour's offset exactly
-    for c in sys.colours:
-        got = sum(exp * shifts[name] for name, exp in c.weight.items)
-        if got != offsets[c.label]:
-            raise SystemSpecError(
-                "colour offsets are not consistent with any per-variable q-shift")
-    return shifts
+        return sum(exp * self.var_shifts.get(name, 0)
+                   for name, exp in colour.weight.items)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +394,6 @@ class ColouredSystem:
             vs.add(self.overline_marker)
         return sorted(vs)
 
-    def free_variables(self) -> list[str]:
-        return [v for v in self.variables() if v not in self.erased_vars]
-
     @property
     def has_zero_parts(self) -> bool:
         return any(c.domain.contains(0) and (0, c.label) not in self.forbidden_parts
@@ -519,9 +429,6 @@ class ColouredSystem:
         if (part.size, part.colour) in self.forbidden_parts:
             return f"part {part} is explicitly forbidden"
         return None
-
-    def is_valid_part(self, part: ColouredPart) -> bool:
-        return self.part_validity(part) is None
 
     def part_weight(self, part: ColouredPart) -> Monomial:
         w = self.colour(part.colour).weight
@@ -623,22 +530,12 @@ class ColouredSystem:
 # ---------------------------------------------------------------------------
 
 
-def min_gap(sys: ColouredSystem, upper: ColouredPart, lower: ColouredPart) -> int:
-    for p in (upper, lower):
-        reason = sys.part_validity(p)
-        if reason is not None:
-            raise SystemSpecError(reason)
-    return sys.min_gap(upper, lower)
-
-
-def andrews_colour_data(i: int, r: int | None = None) -> tuple[Monomial, int, int, int]:
+def andrews_colour_data(i: int) -> tuple[Monomial, int, int, int]:
     """(weight, w, v, z) for composite colour index i >= 1: weight is the
     product of primary variables u_k over set bits of i, w the number of set
     bits, v/z the least/greatest set-bit position (1-based)."""
     if i < 1:
         raise SystemSpecError("colour index must be >= 1")
-    if r is not None and i > 2 ** r - 1:
-        raise SystemSpecError(f"colour index {i} out of range for r={r}")
     bits = [k + 1 for k in range(i.bit_length()) if (i >> k) & 1]
     weight = Monomial((f"u{k}", 1) for k in bits)
     return weight, len(bits), bits[0], bits[-1]
@@ -694,11 +591,10 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
     return new_sys.validate()
 
 
-def statistic_substitution(d: DilationSpec, sys: ColouredSystem) -> SubstitutionMap:
+def statistic_substitution(d: DilationSpec) -> SubstitutionMap:
     """Series-level substitution matching dilate_system: q -> q^m and each
     weight variable v -> v * q^shift(v)."""
-    shifts = d.resolved_var_shifts(sys)
-    images = {v: (Monomial.var(v), s) for v, s in shifts.items()}
+    images = {v: (Monomial.var(v), s) for v, s in d.var_shifts.items()}
     return SubstitutionMap(d.modulus, images)
 
 
@@ -971,18 +867,17 @@ def preset_dilation(name: str) -> DilationSpec:
 
 
 @cache
-def build_preset(name: str, r: int | None = None) -> ColouredSystem:
-    """Build a named preset.  Parametric families take r, either via the
-    argument or inline as e.g. 'andrews-overpartitions(2)'.  Systems are
-    immutable, so each preset is built and validated once per process."""
-    base = name
+def build_preset(name: str) -> ColouredSystem:
+    """Build a named preset.  Parametric families take their parameter r
+    inline, as in 'andrews-overpartitions(2)'.  Systems are immutable, so
+    each preset is built and validated once per process."""
+    base, r = name, None
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)
-        if r is None:
-            try:
-                r = int(arg)
-            except ValueError:
-                raise SystemSpecError(f"bad preset parameter in {name!r}")
+        try:
+            r = int(arg)
+        except ValueError:
+            raise SystemSpecError(f"bad preset parameter in {name!r}")
     if base == "andrews-overpartitions":
         if r is None:
             raise SystemSpecError("andrews-overpartitions needs r")

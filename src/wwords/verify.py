@@ -179,14 +179,13 @@ def _apply_tail(case: IdentityCase, f: TruncatedSeries, qmax: int,
 
 
 def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
-                   qmax: int, degmax: int | None,
-                   max_nodes: int | None) -> list[tuple[str, TruncatedSeries]]:
+                   qmax: int, degmax: int | None
+                   ) -> list[tuple[str, TruncatedSeries]]:
     """All (label, series) pairs one engine contributes."""
     if engine in ("enum", "recurrence"):
         def series(name: str) -> TruncatedSeries:
             if engine == "enum":
-                return enumerate_series(build_preset(name), qmax, degmax,
-                                        max_nodes)
+                return enumerate_series(build_preset(name), qmax, degmax)
             return dp_series(build_preset(name), qmax, degmax)
 
         out = [(engine, _apply_tail(case, series(side_b_name), qmax,
@@ -200,11 +199,10 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
             case, product_expand(case.product, qmax, degmax),
             qmax, b_side=False))]
     if engine == "dilation":
-        weighted = build_preset(case.dilation_of)
-        sub = statistic_substitution(case.dilation, weighted)
         # every realizable part dilates to a size at least its weighted
         # size, so the weighted series to the same order covers the window
-        base = dp_series(weighted, qmax, degmax)
+        base = dp_series(build_preset(case.dilation_of), qmax, degmax)
+        sub = statistic_substitution(case.dilation)
         return [("dilation", _apply_tail(
             case, substitute(base, sub, qmax, degmax), qmax, b_side=True))]
     raise VerificationError(
@@ -242,15 +240,32 @@ def _compare_all(series: list[tuple[str, TruncatedSeries]]
 # ---------------------------------------------------------------------------
 
 
+def _check_cap(case: IdentityCase, qmax: int, degmax: int) -> None:
+    """Refuse a degree cap below ``qmax`` when some side drops variables
+    after the cap is applied."""
+    names = {case.side_b, case.side_a, case.dilation_of,
+             *(case.conventions or {}).values()} - {None}
+    dropped = sorted({v for name in names
+                      for v in build_preset(name).erased_vars}
+                     | set(case.specialize or ()))
+    if dropped:
+        raise VerificationError(
+            f"degmax={degmax} is below qmax={qmax}, but {case.name} erases "
+            f"or specializes {', '.join(dropped)}: the cap would count their "
+            "degree on one side only; use degmax >= qmax or no cap")
+
+
 def verify_identity(case: IdentityCase | str, qmax: int | None = None,
-                    degmax=_UNSET, engines: Iterable[str] | None = None,
-                    max_nodes: int | None = None) -> Report:
+                    degmax=_UNSET,
+                    engines: Iterable[str] | None = None) -> Report:
     """Compute every requested engine and compare all results pairwise.
 
     ``qmax``/``degmax`` default to the case's documented order.  ``engines``
     defaults to every engine applicable to the case; requesting an
     inapplicable one raises :class:`VerificationError` listing the
-    applicable set.
+    applicable set.  So does a ``degmax`` below ``qmax`` on a case that
+    erases or specializes variables: the cap counts their degree on one
+    side only, which would report a mismatch that is not there.
     """
     if isinstance(case, str):
         case = identity_case(case)
@@ -259,6 +274,8 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
         qmax = case.qmax
     if degmax is _UNSET:
         degmax = case.degmax
+    if degmax is not None and degmax < qmax:
+        _check_cap(case, qmax, degmax)
     applicable = case.applicable_engines()
     if engines is None:
         chosen = applicable
@@ -286,7 +303,7 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
                 f"{case.name} needs a system engine (enum or recurrence) to "
                 "attempt each convention")
         product_pairs = _engine_series(case, "product", case.side_b, qmax,
-                                       degmax, max_nodes)
+                                       degmax)
         passed: list[str] = []
         failed: list[str] = []
         mismatch: dict | None = None
@@ -295,7 +312,7 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
             for eng in chosen:
                 if eng != "product":
                     pairs.extend(_engine_series(case, eng, preset, qmax,
-                                                degmax, max_nodes))
+                                                degmax))
             ok, first = _compare_all(pairs)
             (passed if ok else failed).append(conv_name)
             if not ok and mismatch is None:
@@ -312,8 +329,7 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
     else:
         pairs = []
         for eng in chosen:
-            pairs.extend(_engine_series(case, eng, case.side_b, qmax, degmax,
-                                        max_nodes))
+            pairs.extend(_engine_series(case, eng, case.side_b, qmax, degmax))
         equal, mismatch = _compare_all(pairs)
 
     ms = int((time.monotonic() - started) * 1000)
@@ -409,8 +425,7 @@ _STATISTIC_RULES = {
 
 
 def check_statistics(case: IdentityCase | str, samples: int = 200,
-                     seed: int = 2026, max_n: int | None = None,
-                     max_nodes: int | None = None) -> dict:
+                     seed: int = 2026, max_n: int | None = None) -> dict:
     """Sample valid partitions of the case's system and check that the
     textual part-counting rule reproduces the colour-weight exponents.
 
@@ -428,7 +443,7 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
     sys_b = build_preset(case.side_b)
     pool: list[tuple[ColouredPart, ...]] = []
     for n in range(max_n + 1):
-        pool.extend(list_partitions(sys_b, n, max_nodes=max_nodes))
+        pool.extend(list_partitions(sys_b, n))
     rng = random.Random(seed)
     chosen = list(pool) if len(pool) <= samples else rng.sample(pool, samples)
     mismatches = []

@@ -215,7 +215,7 @@ def test_ac09_discovery_recovers_colour_relations():
         assert len(merges) == 9
         product_like = [c for c in merges if c.product_like]
         assert len(product_like) == 1
-        assert product_like[0].substitution_dict() == {
+        assert dict(product_like[0].substitution) == {
             "c": Monomial.from_dict({"a": 1, "b": 1})}
 
         classes = search_relations(build_preset("siladic-dilated-free"),
@@ -228,7 +228,7 @@ def test_ac09_discovery_recovers_colour_relations():
             "x6": Monomial.from_dict({"a": 2}),
         }
         hits = [c for c in classes
-                if c.product_like and c.substitution_dict() == documented]
+                if c.product_like and dict(c.substitution) == documented]
         assert len(hits) == 1
         assert hits[0].period == 8
 

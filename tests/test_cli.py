@@ -102,8 +102,8 @@ class TestVerify:
     def test_corrupted_gap_matrix_reports_mismatch(self, monkeypatch):
         pristine = wwords.verify.build_preset
 
-        def corrupted(name, r=None):
-            system = pristine(name) if r is None else pristine(name, r)
+        def corrupted(name):
+            system = pristine(name)
             if name != "schur-weighted":
                 return system
             rows = {rk: dict(cols) for rk, cols in system.gap.rows.items()}
@@ -161,6 +161,20 @@ class TestVerify:
                             "--statistics"])
         assert code == 2
         assert "statistic" in err
+
+    @pytest.mark.parametrize("argv,degmax,qmax", [
+        (["theorem-6", "--qmax", "28"], 25, 28),
+        (["primc-conjecture", "--qmax", "8", "--degmax", "3"], 3, 8),
+        (["theorem-1", "--qmax", "20", "--degmax", "3"], 3, 20),
+    ])
+    def test_cap_below_qmax_on_dropped_variables_is_usage_error(
+            self, argv, degmax, qmax):
+        # erased or specialized variables count against the cap on one
+        # side only, so these runs once reported a mismatch (exit 1)
+        code, out, err = run(["verify", *argv])
+        assert code == 2
+        assert f"degmax={degmax}" in err and f"qmax={qmax}" in err
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +262,18 @@ class TestEnumerate:
         assert code == 2
         assert "unknown system" in err
         assert "schur-weighted" in err  # usage lists the presets
+
+    @pytest.mark.parametrize("argv", [
+        ["discover", "schur-dilated-mod3", "--primaries", "a,b",
+         "--qmax", "18"],
+        ["verify", "theorem-4", "--qmax", "10", "--engines",
+         "recurrence,product", "--statistics"],
+    ])
+    def test_max_nodes_env_bound_reaches_every_walk(self, monkeypatch, argv):
+        monkeypatch.setenv("WWORDS_MAX_NODES", "5")
+        code, _, err = run(argv)
+        assert code == 2
+        assert "WWORDS_MAX_NODES" in err and "5 partitions" in err
 
     def test_max_nodes_env_bound(self, monkeypatch):
         monkeypatch.setenv("WWORDS_MAX_NODES", "5")

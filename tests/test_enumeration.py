@@ -14,9 +14,12 @@ from wwords import (
     SizeDomain,
     SystemSpecError,
     build_preset,
+    check_statistics,
     preset_dilation,
+    search_relations,
     statistic_substitution,
     substitute,
+    verify_identity,
 )
 from wwords.enumeration import (
     EnumerationLimitError,
@@ -154,7 +157,7 @@ def test_four_colour_weighted_small_coefficients():
 
 
 def test_overpartition_zero_size_parts_need_degmax():
-    sys = build_preset("andrews-overpartitions", r=1)
+    sys = build_preset("andrews-overpartitions(1)")
     with pytest.raises(SystemSpecError, match="degmax"):
         enumerate_series(sys, 4)
 
@@ -162,7 +165,7 @@ def test_overpartition_zero_size_parts_need_degmax():
 def test_overpartition_q0_coefficient():
     # chains of size-0 parts: any run of plain copies, at most one overlined
     # copy in front; plain parts carry the marker t
-    sys = build_preset("andrews-overpartitions", r=1)
+    sys = build_preset("andrews-overpartitions(1)")
     series = enumerate_series(sys, 2, degmax=6)
     want = Polynomial({Monomial(k): v for k, v in {
         (): 1,
@@ -184,8 +187,7 @@ def test_overpartition_q0_coefficient():
 def test_dilation_commutes_for_five_colour_system():
     qmax = 12
     weighted = enumerate_series(build_preset("siladic-weighted"), qmax)
-    sub = statistic_substitution(preset_dilation("siladic-weighted"),
-                                 build_preset("siladic-weighted"))
+    sub = statistic_substitution(preset_dilation("siladic-weighted"))
     dilated_via_sub = substitute(weighted, sub, qmax)
     dilated_direct = enumerate_series(build_preset("siladic-dilated"), qmax)
     assert dilated_via_sub == dilated_direct
@@ -193,11 +195,10 @@ def test_dilation_commutes_for_five_colour_system():
 
 def test_dilation_commutes_for_four_colour_system():
     qmax = 12
-    base = build_preset("primc-weighted")
     # erasure must happen after the q-shift, so rebuild the unerased series
     weighted = enumerate_series(
         build_preset("primc-weighted"), qmax)  # b already erased: shift of b is 0
-    sub = statistic_substitution(preset_dilation("primc-weighted"), base)
+    sub = statistic_substitution(preset_dilation("primc-weighted"))
     dilated_via_sub = substitute(weighted, sub, qmax)
     dilated_direct = enumerate_series(build_preset("primc-dilated"), qmax)
     assert dilated_via_sub == dilated_direct
@@ -234,7 +235,7 @@ def test_list_partitions_of_zero():
     ("primary-overpartitions", 2, 3, 6),
 ])
 def test_listed_partitions_are_valid(preset, r, n, degmax):
-    sys = build_preset(preset, r=r) if r else build_preset(preset)
+    sys = build_preset(f"{preset}({r})" if r else preset)
     listed = list_partitions(sys, n, degmax=degmax)
     assert listed, "expected at least one partition"
     for ch in listed:
@@ -261,7 +262,7 @@ def test_validity_diagnostics():
 
 
 def test_partition_weight_helper():
-    sys = build_preset("andrews-overpartitions", r=2)
+    sys = build_preset("andrews-overpartitions(2)")
     w, total = partition_weight(sys, [P(3, "u1u2", True), P(2, "u1")])
     assert total == 5
     assert w == Monomial.from_dict({"u1": 2, "u2": 1, "t": 1})
@@ -272,19 +273,25 @@ def test_partition_weight_helper():
 # ---------------------------------------------------------------------------
 
 
-def test_node_budget_via_argument():
-    sys = build_preset("schur-weighted")
-    with pytest.raises(EnumerationLimitError, match="WWORDS_MAX_NODES"):
-        enumerate_series(sys, 10, max_nodes=5)
-
-
 def test_node_budget_via_environment(monkeypatch):
     sys = build_preset("schur-weighted")
     monkeypatch.setenv("WWORDS_MAX_NODES", "5")
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError, match="WWORDS_MAX_NODES"):
         enumerate_series(sys, 10)
     monkeypatch.setenv("WWORDS_MAX_NODES", "100000")
     enumerate_series(sys, 10)  # plenty now
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: verify_identity("theorem-2", qmax=10, engines=("enum",)),
+    lambda: check_statistics("theorem-4"),
+    lambda: search_relations(build_preset("schur-dilated-mod3"), ["a", "b"],
+                             18),
+], ids=["verify", "statistics", "search"])
+def test_node_budget_reaches_every_walk(monkeypatch, walk):
+    monkeypatch.setenv("WWORDS_MAX_NODES", "5")
+    with pytest.raises(EnumerationLimitError, match="exceeded 5 partitions"):
+        walk()
 
 
 def test_walk_depth_is_not_bounded_by_recursion_limit():

@@ -122,7 +122,7 @@ def test_series_json_round_trip():
 
 def test_substitution_identity():
     f = _geom("a", 1, 8)
-    g = substitute(f, SubstitutionMap.identity(), 8)
+    g = substitute(f, SubstitutionMap(1, {}), 8)
     assert g == f
 
 

@@ -16,7 +16,6 @@ from wwords import (
     andrews_colour_label,
     build_preset,
     dilate_system,
-    min_gap,
     preset_dilation,
     preset_names,
     statistic_substitution,
@@ -94,10 +93,9 @@ def test_preset_builds_and_round_trips(name):
     ("primary-overpartitions", 2), ("primary-overpartitions", 3),
 ])
 def test_parametric_presets_build(name, r):
-    sys = build_preset(name, r=r)
+    sys = build_preset(f"{name}({r})")
+    assert sys.name == f"{name}-r{r}"
     assert sys == ColouredSystem.from_json(sys.to_json())
-    inline = build_preset(f"{name}({r})")
-    assert inline == sys
 
 
 def test_preset_registry_listing():
@@ -122,14 +120,14 @@ def test_schur_weighted_order_and_gaps():
     assert sys.part_rank(P(1, "a")) == 1
     assert sys.part_rank(P(1, "b")) == 2
     # gap 2 below an ab part and below ascending colour pairs, else 1
-    assert min_gap(sys, P(5, "ab"), P(3, "a")) == 2
-    assert min_gap(sys, P(5, "a"), P(4, "b")) == 2   # a < b ascending downward
-    assert min_gap(sys, P(5, "a"), P(4, "a")) == 1
-    assert min_gap(sys, P(5, "b"), P(4, "a")) == 1
-    assert min_gap(sys, P(5, "b"), P(4, "ab")) == 1
+    assert sys.min_gap(P(5, "ab"), P(3, "a")) == 2
+    assert sys.min_gap(P(5, "a"), P(4, "b")) == 2   # a < b ascending downward
+    assert sys.min_gap(P(5, "a"), P(4, "a")) == 1
+    assert sys.min_gap(P(5, "b"), P(4, "a")) == 1
+    assert sys.min_gap(P(5, "b"), P(4, "ab")) == 1
     # smallest ab part is 2
-    assert not sys.is_valid_part(P(1, "ab"))
-    assert sys.is_valid_part(P(2, "ab"))
+    assert sys.part_validity(P(1, "ab")) is not None
+    assert sys.part_validity(P(2, "ab")) is None
 
 
 def test_schur_weighted_part_listing_order():
@@ -160,28 +158,28 @@ def test_five_colour_order_segment():
 def test_five_colour_domains_and_conventions():
     sysA = build_preset("siladic-weighted")
     # squared colours live on odd sizes; a2 starts at 3
-    assert not sysA.is_valid_part(P(1, "a2"))
-    assert sysA.is_valid_part(P(3, "a2"))
-    assert not sysA.is_valid_part(P(4, "b2"))
+    assert sysA.part_validity(P(1, "a2")) is not None
+    assert sysA.part_validity(P(3, "a2")) is None
+    assert sysA.part_validity(P(4, "b2")) is not None
     # convention A: 1_ab and 1_b2 excluded, 1_a and 1_b allowed
-    assert not sysA.is_valid_part(P(1, "ab"))
-    assert not sysA.is_valid_part(P(1, "b2"))
-    assert sysA.is_valid_part(P(1, "a"))
-    assert sysA.is_valid_part(P(1, "b"))
+    assert sysA.part_validity(P(1, "ab")) is not None
+    assert sysA.part_validity(P(1, "b2")) is not None
+    assert sysA.part_validity(P(1, "a")) is None
+    assert sysA.part_validity(P(1, "b")) is None
     # convention B excludes 1_b as well
     sysB = build_preset("siladic-weighted-convB")
-    assert not sysB.is_valid_part(P(1, "b"))
-    assert sysB.is_valid_part(P(1, "a"))
+    assert sysB.part_validity(P(1, "b")) is not None
+    assert sysB.part_validity(P(1, "a")) is None
 
 
 def test_five_colour_parity_dependent_gaps():
     sys = build_preset("siladic-weighted")
     # rows are keyed by (colour, size parity): odd a-parts need 1 above ab,
     # even a-parts need 2
-    assert min_gap(sys, P(5, "a"), P(4, "ab")) == 1
-    assert min_gap(sys, P(4, "a"), P(3, "ab")) == 2
-    assert min_gap(sys, P(5, "b"), P(4, "a")) == 1
-    assert min_gap(sys, P(7, "b2"), P(3, "b2")) == 4
+    assert sys.min_gap(P(5, "a"), P(4, "ab")) == 1
+    assert sys.min_gap(P(4, "a"), P(3, "ab")) == 2
+    assert sys.min_gap(P(5, "b"), P(4, "a")) == 1
+    assert sys.min_gap(P(7, "b2"), P(3, "b2")) == 4
     assert sys.min_gap(P(3, "a2"), P(1, "a")) == 3
     assert sys.min_gap(P(4, "b"), P(3, "a2")) == 1
 
@@ -194,8 +192,8 @@ def test_part_validity_reasons():
     assert "unknown colour" in sys.part_validity(P(2, "zz"))
     with pytest.raises(SystemSpecError):
         sys.part_rank(P(1, "ab"))
-    with pytest.raises(SystemSpecError):
-        min_gap(sys, P(2, "a2"), P(1, "a"))
+    with pytest.raises(SystemSpecError):  # no gap row for an even a2 part
+        sys.min_gap(P(2, "a2"), P(1, "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +210,15 @@ def test_dilated_five_colour_domains():
     # 0_ab and 2_b2 map from the forbidden small parts
     assert (0, "ab") in sys.forbidden_parts
     assert (2, "b2") in sys.forbidden_parts
-    assert not sys.is_valid_part(P(0, "ab"))
-    assert sys.is_valid_part(P(4, "ab"))
-    assert not sys.is_valid_part(P(2, "b2"))
-    assert sys.is_valid_part(P(10, "b2"))
+    assert sys.part_validity(P(0, "ab")) is not None
+    assert sys.part_validity(P(4, "ab")) is None
+    assert sys.part_validity(P(2, "b2")) is not None
+    assert sys.part_validity(P(10, "b2")) is None
     # every size 3..qmax is covered by exactly one colour class (1,2 excluded
     # parts exist at 1 (colour a) but not 2)
-    assert sys.is_valid_part(P(1, "a"))
-    assert all(not sys.is_valid_part(P(2, c.label)) for c in sys.colours)
+    assert sys.part_validity(P(1, "a")) is None
+    assert all(sys.part_validity(P(2, c.label)) is not None
+               for c in sys.colours)
 
 
 def test_dilated_five_colour_rank_is_size_order():
@@ -242,7 +241,7 @@ def test_dilated_five_colour_gap_entries():
     assert gap.rows["b2|2"]["b"] == 4 * 3 - 2 + 1
     assert set(gap.rows) == {"a|1", "a|5", "b|3", "b|7",
                              "ab|0", "ab|4", "a2|6", "b2|2"}
-    assert min_gap(sys, P(9, "a"), P(4, "ab")) == 5
+    assert sys.min_gap(P(9, "a"), P(4, "ab")) == 5
 
 
 def test_companion_dilation_ranks():
@@ -274,7 +273,7 @@ def test_four_colour_dilated_domains_and_order():
     assert doms["b"].sizes_up_to(6) == [2, 4, 6]   # even
     assert doms["c"].sizes_up_to(6) == [2, 4, 6]
     assert doms["d"].sizes_up_to(7) == [3, 5, 7]   # odd, no part 1
-    assert not sys.is_valid_part(P(1, "d"))
+    assert sys.part_validity(P(1, "d")) is not None
     # displayed order 1_a < 2_b < 2_c < 3_d < 3_a < 4_b < ...
     seq = [P(1, "a"), P(2, "b"), P(2, "c"), P(3, "d"), P(3, "a"), P(4, "b")]
     ranks = [sys.rank_rule.rank(p) for p in seq]
@@ -293,26 +292,8 @@ def test_dilation_rejects_negative_sizes():
         dilate_system(base, DilationSpec(1, var_shifts={"a": -5, "b": 0}))
 
 
-def test_dilation_from_colour_offsets_solves_variable_shifts():
-    base = build_preset("siladic-weighted")
-    d = DilationSpec(4, colour_offsets={
-        "a": -3, "b": -1, "ab": -4, "a2": -6, "b2": -2})
-    assert d.resolved_var_shifts(base) == {"a": -3, "b": -1}
-    via_offsets = dilate_system(base, d, "siladic-dilated")
-    assert via_offsets == build_preset("siladic-dilated")
-
-
-def test_dilation_rejects_inconsistent_colour_offsets():
-    base = build_preset("siladic-weighted")
-    d = DilationSpec(4, colour_offsets={
-        "a": -3, "b": -1, "ab": 0, "a2": -6, "b2": -2})
-    with pytest.raises(SystemSpecError):
-        d.resolved_var_shifts(base)
-
-
 def test_statistic_substitution_matches_dilation_spec():
-    base = build_preset("siladic-weighted")
-    sub = statistic_substitution(preset_dilation("siladic-weighted"), base)
+    sub = statistic_substitution(preset_dilation("siladic-weighted"))
     assert sub.qpower == 4
     mono, shift = sub.images["a"]
     assert mono == Monomial.var("a") and shift == -3
@@ -338,7 +319,8 @@ def test_four_colour_weighted_gaps_and_marker():
     assert sys.gap.rows["d"]["d"] == 2
     assert sys.gap.rows["c"]["a"] == 0          # same size, lower colour a
     assert sys.erased_vars == ("b",)
-    assert sys.free_variables() == ["a", "c", "d"]
+    assert [v for v in sys.variables()
+            if v not in sys.erased_vars] == ["a", "c", "d"]
     assert "b" in sys.variables()
 
 
@@ -356,12 +338,10 @@ def test_composite_colour_data():
     assert andrews_colour_label(5) == "u1u3"
     with pytest.raises(SystemSpecError):
         andrews_colour_data(0)
-    with pytest.raises(SystemSpecError):
-        andrews_colour_data(4, r=1)
 
 
 def test_overpartition_system_rank_and_order():
-    sys = build_preset("andrews-overpartitions", r=2)
+    sys = build_preset("andrews-overpartitions(2)")
     assert [c.label for c in sys.colours] == ["u1", "u2", "u1u2"]
     assert sys.rank_rule.rank(P(0, "u1")) == 0
     assert sys.rank_rule.rank(P(0, "u2")) == 1
@@ -371,20 +351,20 @@ def test_overpartition_system_rank_and_order():
 
 
 def test_overpartition_difference_rule():
-    sys = build_preset("andrews-overpartitions", r=2)
+    sys = build_preset("andrews-overpartitions(2)")
     # gap = w(lower) + chi(lower overlined) - 1 + delta(upper, lower)
-    assert min_gap(sys, P(3, "u1"), P(3, "u1")) == 0
-    assert min_gap(sys, P(3, "u1"), P(3, "u1", True)) == 1
-    assert min_gap(sys, P(3, "u1"), P(2, "u2")) == 1          # 1 < 2: delta
-    assert min_gap(sys, P(3, "u2"), P(3, "u1")) == 0
-    assert min_gap(sys, P(3, "u1"), P(2, "u1u2")) == 1        # w = 2
-    assert min_gap(sys, P(3, "u1"), P(2, "u1u2", True)) == 2
-    assert min_gap(sys, P(3, "u1u2"), P(2, "u1u2")) == 1
-    assert min_gap(sys, P(3, "u1u2"), P(2, "u1u2", True)) == 2
+    assert sys.min_gap(P(3, "u1"), P(3, "u1")) == 0
+    assert sys.min_gap(P(3, "u1"), P(3, "u1", True)) == 1
+    assert sys.min_gap(P(3, "u1"), P(2, "u2")) == 1          # 1 < 2: delta
+    assert sys.min_gap(P(3, "u2"), P(3, "u1")) == 0
+    assert sys.min_gap(P(3, "u1"), P(2, "u1u2")) == 1        # w = 2
+    assert sys.min_gap(P(3, "u1"), P(2, "u1u2", True)) == 2
+    assert sys.min_gap(P(3, "u1u2"), P(2, "u1u2")) == 1
+    assert sys.min_gap(P(3, "u1u2"), P(2, "u1u2", True)) == 2
 
 
 def test_overpartition_marker_weights():
-    sys = build_preset("andrews-overpartitions", r=2)
+    sys = build_preset("andrews-overpartitions(2)")
     t = Monomial.var("t")
     assert sys.part_weight(P(3, "u1")) == Monomial.var("u1") * t
     assert sys.part_weight(P(3, "u1", True)) == Monomial.var("u1")
@@ -393,19 +373,19 @@ def test_overpartition_marker_weights():
 
 
 def test_free_overpartition_rule():
-    sys = build_preset("primary-overpartitions", r=2)
+    sys = build_preset("primary-overpartitions(2)")
     # descending colour index within a size; overlined copy listed first
-    assert min_gap(sys, P(3, "u2"), P(3, "u1")) == 0
-    assert min_gap(sys, P(3, "u1"), P(3, "u2")) == 1
-    assert min_gap(sys, P(3, "u1"), P(3, "u1")) == 0
-    assert min_gap(sys, P(3, "u1", True), P(3, "u1")) == 0
-    assert min_gap(sys, P(3, "u1"), P(3, "u1", True)) == 1
-    assert min_gap(sys, P(3, "u1", True), P(3, "u1", True)) == 1
-    assert min_gap(sys, P(3, "u2", True), P(3, "u1", True)) == 0
+    assert sys.min_gap(P(3, "u2"), P(3, "u1")) == 0
+    assert sys.min_gap(P(3, "u1"), P(3, "u2")) == 1
+    assert sys.min_gap(P(3, "u1"), P(3, "u1")) == 0
+    assert sys.min_gap(P(3, "u1", True), P(3, "u1")) == 0
+    assert sys.min_gap(P(3, "u1"), P(3, "u1", True)) == 1
+    assert sys.min_gap(P(3, "u1", True), P(3, "u1", True)) == 1
+    assert sys.min_gap(P(3, "u2", True), P(3, "u1", True)) == 0
 
 
 def test_overline_ordering_in_part_listing():
-    sys = build_preset("primary-overpartitions", r=2)
+    sys = build_preset("primary-overpartitions(2)")
     parts = sys.parts_up_to(1)
     labelled = [(p.size, p.colour, p.over) for p in parts]
     assert labelled == [
@@ -422,12 +402,12 @@ def test_counting_presets_domains():
     odd = build_preset("distinct-odd")
     assert odd.colour("a").weight.is_one()
     assert odd.colour("a").domain.sizes_up_to(9) == [1, 3, 5, 7, 9]
-    assert min_gap(odd, P(5, "a"), P(3, "a")) == 2
+    assert odd.min_gap(P(5, "a"), P(3, "a")) == 2
 
     m3 = build_preset("distinct-mod3")
     assert m3.colour("a").domain.sizes_up_to(7) == [1, 4, 7]
     assert m3.colour("b").domain.sizes_up_to(8) == [2, 5, 8]
-    assert min_gap(m3, P(4, "a"), P(2, "b")) == 1
+    assert m3.min_gap(P(4, "a"), P(2, "b")) == 1
 
     m4 = build_preset("distinct-mod4")
     assert m4.colour("a").domain.sizes_up_to(9) == [1, 5, 9]
@@ -446,7 +426,7 @@ def test_free_colour_variant_of_dilated_five_colour_system():
     # gaps agree with the concrete system under the relabeling
     assert free.gap.rows["x1|1"]["x0"] == conc.gap.rows["a|1"]["ab"]
     assert free.gap.rows["x2|2"]["x3"] == conc.gap.rows["b2|2"]["b"]
-    assert min_gap(free, P(9, "x1"), P(4, "x0")) == 5
+    assert free.min_gap(P(9, "x1"), P(4, "x0")) == 5
 
 
 def test_schur_dilated_free_colour_preset_matches_dilated_concrete():
@@ -534,7 +514,7 @@ def test_custom_system_json_round_trip():
 
 
 def test_overpartition_json_round_trip_keeps_gap_kind():
-    sys = build_preset("primary-overpartitions", r=3)
+    sys = build_preset("primary-overpartitions(3)")
     data = sys.to_json()
     assert data["gap"]["kind"] == "free-overpartition"
     assert ColouredSystem.from_json(data) == sys

@@ -1,0 +1,93 @@
+"""Digest the JSON output of the registry CLI runs, one line per run.
+
+Runs 71 commands as ``python3 -m wwords.cli --format json ...`` against a
+source tree and prints, for each, the sha256 of its standard output, its
+exit code and its arguments.  Two trees whose lines are identical gave
+byte-identical JSON and the same exit codes on every run:
+
+* ``verify`` on every identity at its own order;
+* ``expand --qmax 20`` on every product side, and ``euler-factor`` on the
+  document each ``expand`` printed;
+* ``enumerate --qmax 14 --degmax 14`` and ``enumerate --list 8 --degmax 8``
+  on every preset, the parametric families at r = 2;
+* ``check-eq --qmax 24`` on every builtin equation;
+* ``discover --primaries a,b`` on schur-dilated-mod3 at q18 and on
+  siladic-dilated-free at q24 (the full 59,049-candidate search).
+
+Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
+of the tree to run (default: the tree holding this script).  Set
+``PYTHONHASHSEED`` to fix the interpreter's hash seed for every run.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the registry, read from the tree under test
+_LIST = """\
+import json, wwords
+print(json.dumps({
+    "presets": wwords.preset_names(),
+    "identities": [[n, c.product is not None]
+                   for n, c in wwords.identity_cases().items()],
+    "equations": [e.name for e in wwords.builtin_equations()],
+}))
+"""
+
+DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"))
+
+
+def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, check=False)
+
+
+def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
+    """(arguments, file to save stdout to or None) for every run, in order."""
+    listing = _run(src, ["-c", _LIST])
+    if listing.returncode != 0:
+        sys.exit(f"cannot read the registry under {src}:\n"
+                 f"{listing.stderr.decode()}")
+    reg = json.loads(listing.stdout)
+    presets = [p.replace("(r)", "(2)") for p in reg["presets"]]
+    cmds = [["verify", name] for name, _ in reg["identities"]]
+    saved = {}
+    for name, has_product in reg["identities"]:
+        if has_product:
+            doc = scratch / f"{name}.json"
+            expand = ["expand", "--product", name, "--qmax", "20"]
+            saved[len(cmds)] = doc
+            cmds += [expand, ["euler-factor", "--series", str(doc)]]
+    for p in presets:
+        cmds.append(["enumerate", p, "--qmax", "14", "--degmax", "14"])
+        cmds.append(["enumerate", p, "--list", "8", "--degmax", "8"])
+    cmds += [["check-eq", name, "--qmax", "24"] for name in reg["equations"]]
+    cmds += [["discover", system, "--primaries", "a,b", "--qmax", q]
+             for system, q in DISCOVER]
+    return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    src = (root / "src").resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd, save_to in _commands(src, Path(tmp)):
+            done = _run(src, ["-m", "wwords.cli", "--format", "json", *cmd])
+            if save_to is not None:
+                save_to.write_bytes(done.stdout)
+            shown = [a.replace(tmp, "$TMP") for a in cmd]
+            digest = hashlib.sha256(done.stdout).hexdigest()
+            print(f"{digest} {done.returncode} {' '.join(shown)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

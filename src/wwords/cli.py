@@ -282,7 +282,8 @@ def _cmd_enumerate(args) -> tuple[int, dict, list[str]]:
 
 
 def _format_gap_matrix(gap: MatrixGap) -> list[str]:
-    columns = sorted({c for cols in gap.rows.values() for c in cols})
+    columns = sorted({c for cols in gap.rows.values() for c in cols},
+                     key=lambda c: (c.removesuffix("~"), c))
     width = max(len(rk) for rk in gap.rows)
     width = max(width, *(len(c) for c in columns))
     header = " " * (width + 4) + "  ".join(f"{c:>{width}}" for c in columns)
@@ -292,8 +293,6 @@ def _format_gap_matrix(gap: MatrixGap) -> list[str]:
         lines.append(f"  {rk:<{width}}  {cells}")
     if gap.class_modulus is not None:
         lines.append(f"  (rows keyed by colour|size mod {gap.class_modulus})")
-    if gap.overline_extra:
-        lines.append("  (+1 when the lower part is overlined)")
     return lines
 
 
@@ -313,11 +312,7 @@ def _describe_system(system: ColouredSystem) -> list[str]:
     if system.forbidden_parts:
         banned = ", ".join(f"{s}_{c}" for s, c in sorted(system.forbidden_parts))
         lines.append(f"forbidden parts: {banned}")
-    if isinstance(system.gap, MatrixGap):
-        lines += _format_gap_matrix(system.gap)
-    else:
-        lines.append(f"gap rule: {system.gap.to_json()}")
-    return lines
+    return lines + _format_gap_matrix(system.gap)
 
 
 def _cmd_dilate(args) -> tuple[int, dict, list[str]]:

@@ -42,7 +42,7 @@ from .algebra import (
     _zero_buckets,
     substitute,
 )
-from .systems import ColouredPart, ColouredSystem, MatrixGap, build_preset
+from .systems import ColouredPart, ColouredSystem, build_preset
 
 
 class RecurrenceError(ValueError):
@@ -121,11 +121,7 @@ class RecurrenceState:
         def group(p):
             return p.colour, p.over
 
-        def lane(p):
-            if isinstance(sys.gap, MatrixGap):
-                return sys.gap.row_class(p)
-            return p.colour
-
+        lane = sys.gap.row_class
         nb_class, sum_key = (group, lane) if sign > 0 else (lane, group)
         members: dict = {}
         for i, p in enumerate(parts):

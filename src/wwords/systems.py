@@ -1,19 +1,21 @@
-"""Coloured-integer partition systems: colours, orders, gap rules, dilation.
+"""Coloured-integer partition systems: colours, orders, gaps, dilation.
 
 A ColouredSystem bundles everything needed to decide which sequences of
 coloured parts are valid partitions: a list of colours (each with a weight
 monomial and a size domain), a rank rule (the total order on coloured
-integers), a gap rule giving the minimal difference between adjacent parts,
-and explicit forbidden parts.  Systems are immutable; dilation produces a
-new system with sizes k -> m*k + o_x and correspondingly transformed gaps,
-ranks, and domains.
+integers), a gap matrix giving the minimal difference between adjacent
+parts, and explicit forbidden parts.  Every system, the overpartition
+families included, states its gap condition as one MatrixGap; a column
+"colour~" gives the gap to an overlined lower part.  Systems are
+immutable; dilation produces a new system with sizes k -> m*k + o_x and
+correspondingly transformed gaps, ranks, and domains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Monomial, SubstitutionMap
 
@@ -131,17 +133,17 @@ class ColourDef:
 
 @dataclass(frozen=True)
 class MatrixGap:
-    """Explicit minimal-difference matrix.
+    """The minimal difference between adjacent parts, as a matrix.
 
     Rows are keyed by the upper part's row class — either its colour, or
     "colour|size mod class_modulus" when row conditions depend on the size
-    residue.  Columns are keyed by the lower part's colour.  When
-    overline_extra is set, chi(lower part overlined) is added on top.
+    residue.  Columns are keyed by the lower part's colour; a column
+    "colour~" holds the gap to an overlined lower part, and where a row has
+    none the plain column serves overlined parts too.
     """
 
     rows: Mapping[str, Mapping[str, int]]
     class_modulus: int | None = None
-    overline_extra: bool = False
 
     def __post_init__(self):
         frozen = {rk: dict(cols) for rk, cols in self.rows.items()}
@@ -152,20 +154,18 @@ class MatrixGap:
             return part.colour
         return f"{part.colour}|{part.size % self.class_modulus}"
 
-    def min_gap(self, sys: "ColouredSystem", upper: ColouredPart,
-                lower: ColouredPart) -> int:
+    def min_gap(self, upper: ColouredPart, lower: ColouredPart) -> int:
         rk = self.row_class(upper)
         try:
-            g = self.rows[rk][lower.colour]
+            row = self.rows[rk]
+            if lower.over and lower.colour + "~" in row:
+                return row[lower.colour + "~"]
+            return row[lower.colour]
         except KeyError:
             raise SystemSpecError(
                 f"gap matrix has no entry for row {rk!r}, column {lower.colour!r}")
-        if self.overline_extra and lower.over:
-            g += 1
-        return g
 
-    def dilate(self, sys: "ColouredSystem", m: int,
-               offsets: Mapping[str, int]) -> "MatrixGap":
+    def dilate(self, m: int, offsets: Mapping[str, int]) -> "MatrixGap":
         old_mod = self.class_modulus
         new_mod = None if old_mod is None else m * old_mod
         new_rows: dict[str, dict[str, int]] = {}
@@ -176,101 +176,49 @@ class MatrixGap:
                 colour, res = rk.rsplit("|", 1)
                 new_rk = f"{colour}|{(m * int(res) + offsets[colour]) % new_mod}"
             new_cols: dict[str, int] = {}
-            for lower_colour, g in cols.items():
-                g2 = m * g + offsets[colour] - offsets[lower_colour]
+            for column, g in cols.items():
+                g2 = m * g + offsets[colour] - offsets[column.removesuffix("~")]
                 if g2 < 0:
                     raise SystemSpecError(
-                        f"dilation makes gap({rk},{lower_colour}) negative ({g2}):"
+                        f"dilation makes gap({rk},{column}) negative ({g2}):"
                         " inconsistent dilation")
-                new_cols[lower_colour] = g2
+                new_cols[column] = g2
             new_rows[new_rk] = new_cols
-        return MatrixGap(new_rows, new_mod, self.overline_extra)
+        return MatrixGap(new_rows, new_mod)
 
     def relabel(self, mapping: Mapping[str, str]) -> "MatrixGap":
-        new_rows: dict[str, dict[str, int]] = {}
-        for rk, cols in self.rows.items():
-            if self.class_modulus is None:
-                colour, rest = rk, ""
-            else:
-                colour, res = rk.rsplit("|", 1)
-                rest = f"|{res}"
-            new_rows[mapping.get(colour, colour) + rest] = {
-                mapping.get(c, c): g for c, g in cols.items()}
-        return MatrixGap(new_rows, self.class_modulus, self.overline_extra)
+        def rename(key: str, mark: str) -> str:
+            colour, sep, rest = key.partition(mark)
+            return mapping.get(colour, colour) + sep + rest
+
+        return MatrixGap(
+            {rename(rk, "|"): {rename(c, "~"): g for c, g in cols.items()}
+             for rk, cols in self.rows.items()},
+            self.class_modulus)
 
     def to_json(self) -> dict:
         out: dict = {"kind": "matrix",
                      "rows": {rk: dict(cols) for rk, cols in self.rows.items()}}
         if self.class_modulus is not None:
             out["class_modulus"] = self.class_modulus
-        if self.overline_extra:
-            out["overline_extra"] = True
         return out
 
-
-@dataclass(frozen=True)
-class AndrewsGap:
-    """gap = w(c(lower)) + chi(lower overlined) - 1 + delta(c(upper), c(lower)),
-    where colours are indexed by non-empty subsets of r primary colours,
-    w = subset size, and delta(x, y) = 1 when max(x) < min(y)."""
-
-    r: int
-
-    def min_gap(self, sys: "ColouredSystem", upper: ColouredPart,
-                lower: ColouredPart) -> int:
-        i_up = sys.colour_index(upper.colour) + 1
-        i_low = sys.colour_index(lower.colour) + 1
-        _, w_low, v_low, _ = andrews_colour_data(i_low)
-        _, _, _, z_up = andrews_colour_data(i_up)
-        delta = 1 if z_up < v_low else 0
-        chi = 1 if lower.over else 0
-        return w_low + chi - 1 + delta
-
-    def to_json(self) -> dict:
-        return {"kind": "andrews", "r": self.r}
-
-
-@dataclass(frozen=True)
-class FreeOverGap:
-    """Canonical-listing rule for unrestricted coloured overpartitions.
-
-    Equal sizes are listed with colour index non-increasing downward and the
-    overlined copy of a (size, colour) ahead of its non-overlined copies, so
-    the minimal difference is [idx(upper) < idx(lower)] plus, for equal
-    colours, chi(lower overlined)."""
-
-    r: int
-
-    def min_gap(self, sys: "ColouredSystem", upper: ColouredPart,
-                lower: ColouredPart) -> int:
-        i_up = sys.colour_index(upper.colour)
-        i_low = sys.colour_index(lower.colour)
-        g = 1 if i_up < i_low else 0
-        if upper.colour == lower.colour and lower.over:
-            g += 1
-        return g
-
-    def to_json(self) -> dict:
-        return {"kind": "free-overpartition", "r": self.r}
-
-
-GapRule = MatrixGap | AndrewsGap | FreeOverGap
-
-
-def gap_rule_from_json(data: dict) -> GapRule:
-    kind = data.get("kind")
-    if kind == "matrix":
-        return MatrixGap(
-            rows={rk: {c: int(g) for c, g in cols.items()}
-                  for rk, cols in data["rows"].items()},
-            class_modulus=data.get("class_modulus"),
-            overline_extra=bool(data.get("overline_extra", False)),
-        )
-    if kind == "andrews":
-        return AndrewsGap(int(data["r"]))
-    if kind == "free-overpartition":
-        return FreeOverGap(int(data["r"]))
-    raise SystemSpecError(f"unknown gap rule kind {kind!r}")
+    @classmethod
+    def from_json(cls, data: dict, labels: list[str]) -> "MatrixGap":
+        """Read a gap of kind "matrix", or of the older kinds "andrews" and
+        "free-overpartition", which take the colour labels in list order."""
+        kind = data.get("kind")
+        if kind == "andrews":
+            return _andrews_gap(labels)
+        if kind == "free-overpartition":
+            return _free_over_gap(labels)
+        if kind != "matrix":
+            raise SystemSpecError(f"unknown gap rule kind {kind!r}")
+        rows = {rk: {c: int(g) for c, g in cols.items()}
+                for rk, cols in data["rows"].items()}
+        if data.get("overline_extra"):  # older files: +1 below an overlined part
+            rows = _overlines_one_more(rows)
+        return cls(rows, data.get("class_modulus"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +302,7 @@ class DilationSpec:
 class ColouredSystem:
     name: str
     colours: tuple[ColourDef, ...]
-    gap: GapRule
+    gap: MatrixGap
     rank_rule: RankRule
     min_size: int = 1
     forbidden_parts: frozenset[tuple[int, str]] = frozenset()
@@ -362,7 +310,7 @@ class ColouredSystem:
     erased_vars: tuple[str, ...] = ()
     description: str = ""
 
-    _colour_index: dict = field(default=None, repr=False, compare=False)
+    _label_index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "colours", tuple(self.colours))
@@ -372,19 +320,17 @@ class ColouredSystem:
         index = {c.label: i for i, c in enumerate(self.colours)}
         if len(index) != len(self.colours):
             raise SystemSpecError("duplicate colour labels")
-        object.__setattr__(self, "_colour_index", index)
+        for label in index:
+            if "~" in label or "|" in label:
+                raise SystemSpecError(f"colour label {label!r} holds '~' or '|', "
+                                      "which mark gap-matrix columns and rows")
+        object.__setattr__(self, "_label_index", index)
 
     # -- lookups ------------------------------------------------------------
 
     def colour(self, label: str) -> ColourDef:
         try:
-            return self.colours[self._colour_index[label]]
-        except KeyError:
-            raise SystemSpecError(f"unknown colour {label!r}")
-
-    def colour_index(self, label: str) -> int:
-        try:
-            return self._colour_index[label]
+            return self.colours[self._label_index[label]]
         except KeyError:
             raise SystemSpecError(f"unknown colour {label!r}")
 
@@ -419,7 +365,7 @@ class ColouredSystem:
 
     def part_validity(self, part: ColouredPart) -> str | None:
         """None if valid, else a human-readable reason."""
-        if part.colour not in self._colour_index:
+        if part.colour not in self._label_index:
             return f"unknown colour {part.colour!r}"
         c = self.colour(part.colour)
         if part.over and not c.overline_allowed:
@@ -437,7 +383,7 @@ class ColouredSystem:
         return w
 
     def min_gap(self, upper: ColouredPart, lower: ColouredPart) -> int:
-        return self.gap.min_gap(self, upper, lower)
+        return self.gap.min_gap(upper, lower)
 
     def part_rank(self, part: ColouredPart) -> int:
         reason = self.part_validity(part)
@@ -511,10 +457,11 @@ class ColouredSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColouredSystem":
+        colours = tuple(ColourDef.from_json(c) for c in data["colours"])
         return cls(
             name=data.get("name", "custom"),
-            colours=tuple(ColourDef.from_json(c) for c in data["colours"]),
-            gap=gap_rule_from_json(data["gap"]),
+            colours=colours,
+            gap=MatrixGap.from_json(data["gap"], [c.label for c in colours]),
             rank_rule=RankRule.from_json(data["rank"]),
             min_size=int(data.get("min_size", 1)),
             forbidden_parts=frozenset((int(s), c)
@@ -546,12 +493,47 @@ def andrews_colour_label(i: int) -> str:
     return "".join(f"u{k}" for k in bits)
 
 
+def _overlines_one_more(rows: Mapping[str, Mapping[str, int]]) -> dict:
+    """Add a "colour~" column one above each plain column."""
+    return {rk: {**cols, **{f"{c}~": g + 1 for c, g in cols.items()}}
+            for rk, cols in rows.items()}
+
+
+def _andrews_gap(labels: list[str]) -> MatrixGap:
+    """w(lower) + chi(lower overlined) - 1 + delta(upper, lower), where the
+    colour at list position i - 1 is the subset of primary colours given by
+    the set bits of i, w is the subset size, and delta(x, y) = 1 when
+    max(x) < min(y)."""
+    data = [andrews_colour_data(i)[1:] for i in range(1, len(labels) + 1)]
+    return MatrixGap(_overlines_one_more({
+        upper: {lower: w - 1 + (z < v) for lower, (w, v, _) in zip(labels, data)}
+        for upper, (_, _, z) in zip(labels, data)}))
+
+
+def _free_over_gap(labels: list[str]) -> MatrixGap:
+    """Canonical listing of unrestricted coloured overpartitions: equal
+    sizes run with colour position non-increasing downward and the
+    overlined copy of a (size, colour) ahead of its plain copies, so the
+    gap is [pos(upper) < pos(lower)], plus 1 below an equal colour when the
+    lower part is overlined."""
+    return MatrixGap({
+        upper: {**{lower: int(i < j) for j, lower in enumerate(labels)},
+                **{f"{lower}~": int(i <= j) for j, lower in enumerate(labels)}}
+        for i, upper in enumerate(labels)})
+
+
 def dilate_system(sys: ColouredSystem, d: DilationSpec,
                   name: str | None = None) -> ColouredSystem:
     """Map sizes k -> m*k + o_x and transform domains, gaps, ranks, and
-    forbidden parts accordingly."""
-    if not isinstance(sys.gap, MatrixGap):
-        raise SystemSpecError("only matrix-gap systems can be dilated")
+    forbidden parts accordingly.  A gap g from upper colour x to lower
+    colour y becomes m*g + o_x - o_y; a "y~" column uses the offset of y.
+    Every shifted variable must be carried by some colour weight."""
+    carried = {v for c in sys.colours for v, _ in c.weight.items}
+    unknown = sorted(set(d.var_shifts) - carried)
+    if unknown:
+        raise SystemSpecError(
+            f"dilation shifts {', '.join(map(repr, unknown))}, which no "
+            f"colour weight of {sys.name!r} carries")
     m = d.modulus
     offsets = {c.label: d.offset_of(c) for c in sys.colours}
     new_colours = []
@@ -580,7 +562,7 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
     new_sys = ColouredSystem(
         name=name or f"{sys.name}-dilated-m{m}",
         colours=tuple(new_colours),
-        gap=sys.gap.dilate(sys, m, offsets),
+        gap=sys.gap.dilate(m, offsets),
         rank_rule=sys.rank_rule.dilate(m, offsets),
         min_size=0 if (min_realizable is not None and min_realizable <= 0) else 1,
         forbidden_parts=frozenset(new_forbidden),
@@ -607,8 +589,6 @@ def relabel_colours(sys: ColouredSystem, label_map: Mapping[str, str],
         replace(c, label=label_map.get(c.label, c.label),
                 weight=weight_map.get(c.label, c.weight))
         for c in sys.colours)
-    if not isinstance(sys.gap, MatrixGap):
-        raise SystemSpecError("only matrix-gap systems can be relabeled")
     return ColouredSystem(
         name=name,
         colours=new_colours,
@@ -750,49 +730,39 @@ def _primc_weighted() -> ColouredSystem:
 _PRIMC_DILATION = DilationSpec(2, var_shifts={"a": -1, "b": 0, "c": 0, "d": 1})
 
 
-def _andrews_overpartitions(r: int) -> ColouredSystem:
-    if r < 1:
-        raise SystemSpecError("r must be >= 1")
-    n = 2 ** r - 1
-    colours = []
-    offsets = {}
-    for i in range(1, n + 1):
-        label = andrews_colour_label(i)
-        weight, _, _, _ = andrews_colour_data(i)
-        colours.append(ColourDef(label, weight, SizeDomain(min_size=0),
-                                 overline_allowed=True))
-        offsets[label] = i - 1
+def _overpartitions(name: str, weights: Mapping[str, Monomial],
+                    gap_rule: Callable[[list[str]], MatrixGap],
+                    description: str) -> ColouredSystem:
+    """Colours in rank order at each size, each admitting size-0 and
+    overlined parts; gap_rule builds the matrix from the labels."""
+    labels = list(weights)
     return ColouredSystem(
-        name=f"andrews-overpartitions-r{r}",
-        colours=tuple(colours),
-        gap=AndrewsGap(r),
-        rank_rule=RankRule(n, offsets),
+        name=name,
+        colours=tuple(ColourDef(x, w, SizeDomain(min_size=0), overline_allowed=True)
+                      for x, w in weights.items()),
+        gap=gap_rule(labels),
+        rank_rule=RankRule(len(labels), {x: i for i, x in enumerate(labels)}),
         min_size=0,
         overline_marker="t",
-        description=f"overpartitions in {n} composite colours with the "
-                    "w + chi - 1 + delta difference rule",
+        description=description,
     ).validate()
+
+
+def _andrews_overpartitions(r: int) -> ColouredSystem:
+    n = 2 ** r - 1
+    weights = {andrews_colour_label(i): andrews_colour_data(i)[0]
+               for i in range(1, n + 1)}
+    return _overpartitions(
+        f"andrews-overpartitions-r{r}", weights, _andrews_gap,
+        f"overpartitions in {n} composite colours with the "
+        "w + chi - 1 + delta difference rule")
 
 
 def _primary_overpartitions(r: int) -> ColouredSystem:
-    if r < 1:
-        raise SystemSpecError("r must be >= 1")
-    colours = []
-    offsets = {}
-    for i in range(1, r + 1):
-        label = f"u{i}"
-        colours.append(ColourDef(label, Monomial.var(label), SizeDomain(min_size=0),
-                                 overline_allowed=True))
-        offsets[label] = i - 1
-    return ColouredSystem(
-        name=f"primary-overpartitions-r{r}",
-        colours=tuple(colours),
-        gap=FreeOverGap(r),
-        rank_rule=RankRule(r, offsets),
-        min_size=0,
-        overline_marker="t",
-        description=f"unrestricted overpartitions in {r} primary colours",
-    ).validate()
+    weights = {f"u{i}": Monomial.var(f"u{i}") for i in range(1, r + 1)}
+    return _overpartitions(
+        f"primary-overpartitions-r{r}", weights, _free_over_gap,
+        f"unrestricted overpartitions in {r} primary colours")
 
 
 def _distinct_odd() -> ColouredSystem:
@@ -846,7 +816,10 @@ _PRESET_BUILDERS = {
         "distinct-mod4", 4, (1, 3), ("a", "b")),
 }
 
-_PARAMETRIC_PRESETS = ("andrews-overpartitions", "primary-overpartitions")
+_PARAMETRIC_PRESETS = {
+    "andrews-overpartitions": _andrews_overpartitions,
+    "primary-overpartitions": _primary_overpartitions,
+}
 
 
 def preset_names() -> list[str]:
@@ -878,14 +851,12 @@ def build_preset(name: str) -> ColouredSystem:
             r = int(arg)
         except ValueError:
             raise SystemSpecError(f"bad preset parameter in {name!r}")
-    if base == "andrews-overpartitions":
-        if r is None:
-            raise SystemSpecError("andrews-overpartitions needs r")
-        return _andrews_overpartitions(r)
-    if base == "primary-overpartitions":
-        if r is None:
-            raise SystemSpecError("primary-overpartitions needs r")
-        return _primary_overpartitions(r)
+    if base in _PARAMETRIC_PRESETS:
+        if r is None or r < 1:
+            raise SystemSpecError(f"{base} needs r >= 1")
+        return _PARAMETRIC_PRESETS[base](r)
+    if r is not None:
+        raise SystemSpecError(f"preset {base!r} takes no parameter")
     try:
         builder = _PRESET_BUILDERS[base]
     except KeyError:

@@ -111,8 +111,7 @@ class TestVerify:
             first_col = next(iter(rows[first_row]))
             rows[first_row][first_col] += 1
             return dataclasses.replace(
-                system, gap=MatrixGap(rows, system.gap.class_modulus,
-                                      system.gap.overline_extra))
+                system, gap=MatrixGap(rows, system.gap.class_modulus))
 
         monkeypatch.setattr(wwords.verify, "build_preset", corrupted)
         code, doc, _ = run_json(["verify", "theorem-2", "--qmax", "12"])
@@ -257,6 +256,10 @@ class TestEnumerate:
         assert code == 0
         assert doc["system"] == "primary-overpartitions-r1"
 
+    def test_parameter_on_plain_preset_is_usage_error(self):
+        code, _, _ = run(["enumerate", "schur-weighted(5)", "--qmax", "3"])
+        assert code == 2
+
     def test_unknown_system(self):
         code, _, err = run(["enumerate", "no-such", "--qmax", "5"])
         assert code == 2
@@ -333,6 +336,23 @@ class TestDilate:
                             "--offsets", '{"a": 0.5}'])
         assert code == 2
         assert "integers" in err
+
+    def test_unknown_shift_variable_is_usage_error(self):
+        code, _, err = run(["dilate", "primc-weighted", "--modulus", "2",
+                            "--offsets", '{"zz": 3}'])
+        assert code == 2
+        assert "'zz'" in err
+
+    def test_overpartition_preset_dilates(self):
+        argv = ["dilate", "andrews-overpartitions(2)", "--modulus", "2",
+                "--offsets", "{}"]
+        code, doc, _ = run_json(argv)
+        assert code == 0
+        assert doc["dilated"]["gap"]["rows"]["u1"]["u1u2~"] == 4
+        code, out, _ = run(argv)
+        assert code == 0
+        matrix = out[out.index("gap matrix:"):].splitlines()[2:]
+        assert len(matrix) == 3 and all("-" not in row for row in matrix)
 
     def test_inconsistent_dilation_is_engine_error(self):
         code, _, err = run(["dilate", "schur-weighted", "--modulus", "1",

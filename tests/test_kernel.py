@@ -1,15 +1,18 @@
 """The series kernel seen through the engines: the recurrence on generated
 systems against enumeration and its G/E lookups against fresh sums,
-specialization against direct evaluation, and product factors with large
-exponents."""
+dilation against substitution, specialization against direct evaluation,
+and product factors with large exponents."""
 
 import random
 import time
+
+import pytest
 
 from wwords import (
     ColourDef,
     ColouredPart,
     ColouredSystem,
+    DilationSpec,
     MatrixGap,
     Monomial,
     Polynomial,
@@ -20,10 +23,15 @@ from wwords import (
     SizeDomain,
     SystemSpecError,
     TruncatedSeries,
+    build_preset,
+    dilate_system,
+    dp_series,
     enumerate_series,
     euler_factorize,
     euler_reexpand,
     product_expand,
+    statistic_substitution,
+    substitute,
 )
 
 from oracles import expand_product
@@ -47,8 +55,12 @@ def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
             domain = SizeDomain(0 if zero_parts else rng.randrange(1, 3))
         colours.append(ColourDef(label, weight, domain,
                                  overline_allowed=overlines))
-    gap = MatrixGap({upper: {lower: rng.randrange(4) for lower in labels}
-                     for upper in labels}, overline_extra=overlines)
+    rows = {upper: {lower: rng.randrange(4) for lower in labels}
+            for upper in labels}
+    if overlines:  # an overlined lower part needs one more than a plain one
+        rows = {upper: {**cols, **{f"{c}~": g + 1 for c, g in cols.items()}}
+                for upper, cols in rows.items()}
+    gap = MatrixGap(rows)
     order = rng.sample(range(len(labels)), len(labels))
     try:
         return ColouredSystem(
@@ -88,6 +100,48 @@ def test_recurrence_matches_enumeration_on_random_systems():
         checked["degmax"] += degmax is not None
         checked["over"] += sys.overline_marker is not None
     assert min(checked.values()) >= 3, checked
+
+
+def _assert_dilation_commutes(sys, d, qmax, degmax):
+    """Both engines on the dilated system equal the substituted series.
+    Shifts are non-negative, so the undilated series to qmax covers it."""
+    dilated = dilate_system(sys, d)
+    expected = substitute(enumerate_series(sys, qmax, degmax),
+                          statistic_substitution(d), qmax, degmax)
+    assert enumerate_series(dilated, qmax, degmax) == expected
+    assert dp_series(dilated, qmax, degmax) == expected
+
+
+def test_dilation_commutes_with_substitution_on_random_systems():
+    rng = random.Random(2024)
+    checked = {"all": 0, "over": 0, "zero": 0, "modulus": 0}
+    refused = 0
+    for sys, qmax, degmax in _random_cases(31337):
+        carried = sorted({v for c in sys.colours for v, _ in c.weight.items})
+        # enumeration erases a variable before substitution sees it
+        shifts = {v: 0 if v in sys.erased_vars else rng.randrange(3)
+                  for v in carried}
+        d = DilationSpec(rng.randrange(1, 4), shifts)
+        try:
+            _assert_dilation_commutes(sys, d, qmax, degmax)
+        except SystemSpecError:
+            refused += 1  # a shifted gap went negative, or the order broke
+            continue
+        checked["all"] += 1
+        checked["over"] += sys.overline_marker is not None
+        checked["zero"] += sys.has_zero_parts
+        checked["modulus"] += d.modulus > 1
+    assert min(checked.values()) >= 20 and refused < 10, (checked, refused)
+
+
+@pytest.mark.parametrize("name", [
+    "andrews-overpartitions(1)", "andrews-overpartitions(2)",
+    "andrews-overpartitions(3)", "primary-overpartitions(2)",
+    "primary-overpartitions(3)"])
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_overpartition_presets_dilate(name, modulus):
+    _assert_dilation_commutes(build_preset(name), DilationSpec(modulus, {}),
+                              9, 3)
 
 
 def _snapshot(f: TruncatedSeries) -> list[dict]:

@@ -16,6 +16,7 @@ from wwords import (
     andrews_colour_label,
     build_preset,
     dilate_system,
+    enumerate_series,
     preset_dilation,
     preset_names,
     statistic_substitution,
@@ -106,6 +107,12 @@ def test_preset_registry_listing():
         build_preset("no-such-system")
     with pytest.raises(SystemSpecError):
         build_preset("andrews-overpartitions")  # r missing
+
+
+@pytest.mark.parametrize("name", ["schur-weighted(5)", "distinct-odd(1)"])
+def test_only_parametric_families_take_a_parameter(name):
+    with pytest.raises(SystemSpecError, match="takes no parameter"):
+        build_preset(name)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +297,26 @@ def test_dilation_rejects_negative_sizes():
     base = build_preset("schur-weighted")
     with pytest.raises(SystemSpecError):
         dilate_system(base, DilationSpec(1, var_shifts={"a": -5, "b": 0}))
+
+
+def test_dilation_rejects_unknown_variables():
+    base = build_preset("primc-weighted")
+    with pytest.raises(SystemSpecError, match="'t', 'zz'"):
+        dilate_system(base, DilationSpec(2, var_shifts={"zz": 3, "a": -1, "t": 1}))
+
+
+def test_overline_columns_follow_dilation_and_relabelling():
+    gap = MatrixGap({"x": {"x": 0, "x~": 1, "y": 2},
+                     "y": {"x": 1, "y": 0, "y~": 1}})
+    assert gap.min_gap(P(3, "x"), P(1, "x", True)) == 1
+    assert gap.min_gap(P(3, "x"), P(1, "y", True)) == 2  # no y~ column: plain
+    # an overlined column shifts by its plain colour's offset
+    assert gap.dilate(2, {"x": 0, "y": 1}).rows == {
+        "x": {"x": 0, "x~": 2, "y": 3}, "y": {"x": 3, "y": 0, "y~": 2}}
+    assert gap.relabel({"x": "p"}).rows == {
+        "p": {"p": 0, "p~": 1, "y": 2}, "y": {"p": 1, "y": 0, "y~": 1}}
+    by_parity = MatrixGap({"x|0": {"x~": 1}}, class_modulus=2)
+    assert by_parity.relabel({"x": "p"}).rows == {"p|0": {"p~": 1}}
 
 
 def test_statistic_substitution_matches_dilation_spec():
@@ -499,6 +526,17 @@ def test_duplicate_colour_labels_rejected():
         )
 
 
+@pytest.mark.parametrize("label", ["a~", "a|1"])
+def test_colour_labels_cannot_hold_gap_marks(label):
+    with pytest.raises(SystemSpecError, match="mark gap-matrix"):
+        ColouredSystem(
+            name="marked",
+            colours=(ColourDef(label, Monomial.var("a"), SizeDomain()),),
+            gap=MatrixGap({label: {label: 1}}),
+            rank_rule=RankRule(1, {label: 0}),
+        )
+
+
 # ---------------------------------------------------------------------------
 # JSON round trips for custom systems
 # ---------------------------------------------------------------------------
@@ -513,8 +551,31 @@ def test_custom_system_json_round_trip():
     assert again.to_json() == data
 
 
-def test_overpartition_json_round_trip_keeps_gap_kind():
+def test_overpartition_json_round_trip():
     sys = build_preset("primary-overpartitions(3)")
     data = sys.to_json()
-    assert data["gap"]["kind"] == "free-overpartition"
+    assert data["gap"]["kind"] == "matrix"
     assert ColouredSystem.from_json(data) == sys
+    data["gap"] = {"kind": "free-overpartition", "r": 3}
+    assert ColouredSystem.from_json(data) == sys
+
+
+@pytest.mark.parametrize("name,gap", [
+    ("andrews-overpartitions(2)", {"kind": "andrews", "r": 2}),
+    ("primary-overpartitions(2)", {"kind": "free-overpartition", "r": 2}),
+    ("andrews-overpartitions(2)", {"kind": "matrix", "overline_extra": True,
+                                   "rows": {"u1": {"u1": 0, "u2": 1, "u1u2": 1},
+                                            "u2": {"u1": 0, "u2": 0, "u1u2": 1},
+                                            "u1u2": {"u1": 0, "u2": 0, "u1u2": 1}}}),
+])
+def test_older_gap_json_still_loads(name, gap):
+    sys = build_preset(name)
+    data = sys.to_json()
+    data["gap"] = gap
+    loaded = ColouredSystem.from_json(data)
+    assert loaded == sys
+    f = enumerate_series(loaded, 8, 3)
+    # coefficient sums at q^0..q^8 under degmax 3, as the gap-rule classes
+    # these kinds once named gave them
+    assert [sum(f.coefficient(n).terms.values()) for n in range(9)] == [
+        10, 18, 25, 38, 47, 62, 75, 92, 107]

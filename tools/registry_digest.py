@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 71 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 75 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -12,7 +12,9 @@ byte-identical JSON and the same exit codes on every run:
   on every preset, the parametric families at r = 2;
 * ``check-eq --qmax 24`` on every builtin equation;
 * ``discover --primaries a,b`` on schur-dilated-mod3 at q18 and on
-  siladic-dilated-free at q24 (the full 59,049-candidate search).
+  siladic-dilated-free at q24 (the full 59,049-candidate search);
+* ``dilate`` on every distinct (system, dilation) pair the identities'
+  dilation engine uses.
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
@@ -38,6 +40,10 @@ print(json.dumps({
     "identities": [[n, c.product is not None]
                    for n, c in wwords.identity_cases().items()],
     "equations": [e.name for e in wwords.builtin_equations()],
+    "dilations": sorted({
+        (c.dilation_of, c.dilation.modulus,
+         json.dumps(dict(c.dilation.var_shifts), sort_keys=True))
+        for c in wwords.identity_cases().values() if c.dilation_of}),
 }))
 """
 
@@ -72,6 +78,8 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
     cmds += [["check-eq", name, "--qmax", "24"] for name in reg["equations"]]
     cmds += [["discover", system, "--primaries", "a,b", "--qmax", q]
              for system, q in DISCOVER]
+    cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
+             for system, m, shifts in reg["dilations"]]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 

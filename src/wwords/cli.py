@@ -103,12 +103,15 @@ def _resolve_system(name: str) -> ColouredSystem:
     """A preset name (possibly parametrized like name(3)) or a JSON file."""
     try:
         return build_preset(name)
-    except SystemSpecError:
+    except SystemSpecError as exc:
         if os.path.exists(name):
             data = _load_json_file(name)
             if not isinstance(data, dict):
                 raise CliError(f"{name}: a system definition must be a JSON object")
             return _from_json(ColouredSystem, data, name)
+        families = {p.removesuffix("(r)") for p in preset_names()}
+        if name.split("(", 1)[0] in families:
+            raise CliError(f"{name}: {exc}")
         raise CliError(
             f"unknown system {name!r}: not a preset and not a readable file "
             f"(presets: {', '.join(preset_names())})")

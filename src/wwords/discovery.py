@@ -18,12 +18,15 @@ not yet understood:
   the substituted series is product-like and by how many distinct Euler
   factor families one period carries.
 
-The search factorizes the unsubstituted series once and relabels the factor
-table per candidate: substituting variables by monomials maps each Euler
-factor ``(1 - mono * q^n)`` to another Euler factor at the same ``q`` power,
-so the table of the substituted series is the relabelled table with
-colliding entries summed.  This makes the per-candidate cost a table scan
-rather than a fresh enumeration and factorization.
+The search factorizes the unsubstituted series once and, per candidate,
+relabels the factor table on a short early window as a prefilter:
+substituting variables by monomials maps each Euler factor
+``(1 - mono * q^n)`` to another Euler factor at the same ``q`` power, so the
+table of the substituted series is the relabelled table with colliding
+entries summed.  A candidate whose early rows admit no period cannot be a
+periodic product on the whole window either, so only the survivors are
+substituted and handed to :func:`recognize_periodic_product`, which alone
+decides whether a series is a product and what its pattern is.
 """
 
 from __future__ import annotations
@@ -105,19 +108,20 @@ def _exponent_rows(table, qmax: int) -> list[dict]:
     return rows
 
 
-def _minimal_period(rows: Sequence[Mapping], qmax: int) -> tuple[int, int] | None:
-    """Smallest (period, initial) with rows[n] == rows[n + period] beyond initial.
+def _pairs(qmax: int) -> list[tuple[int, int]]:
+    """Candidate (period, initial) pairs for a window ``0..qmax``, smallest first.
 
     Periods up to ``qmax // 3`` are considered, so every accepted pattern is
-    witnessed by at least two full repetitions inside the window.  For each
-    period the smallest admissible initial segment (``0 <= initial <= period``)
-    is chosen.
+    witnessed by at least two full repetitions inside the window; each period
+    allows initial segments ``0 <= initial <= period``.
     """
-    for m in range(1, qmax // 3 + 1):
-        for s in range(0, m + 1):
-            if all(rows[n] == rows[n + m] for n in range(s + 1, qmax - m + 1)):
-                return m, s
-    return None
+    return [(m, s) for m in range(1, qmax // 3 + 1) for s in range(m + 1)]
+
+
+def _periods(rows: Sequence[Mapping], pairs, upto: int) -> list[tuple[int, int]]:
+    """The pairs with rows[n] == rows[n + period] on degrees initial+1..upto."""
+    return [(m, s) for m, s in pairs
+            if all(rows[n] == rows[n + m] for n in range(s + 1, upto - m + 1))]
 
 
 def _pattern_factors(rows: Sequence[Mapping[Monomial, int]],
@@ -157,10 +161,10 @@ def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
     rows = _exponent_rows(euler_factorize(f), qmax)
     if all(not row for row in rows):
         return PeriodicPattern(1, 0, ProductSpec([]), 0)
-    found = _minimal_period(rows, qmax)
-    if found is None:
+    found = _periods(rows, _pairs(qmax), qmax)
+    if not found:
         return None
-    m, s = found
+    m, s = found[0]
     spec = ProductSpec(_pattern_factors(rows, m, s))
     if product_expand(spec, qmax, f.degmax) != f:
         return None
@@ -207,8 +211,9 @@ class RelationCandidate:
 
 
 def _decompose_table(table, free_index: Mapping[str, int],
-                     primary_index: Mapping[str, int]):
-    """Split each table entry into static and substitution-dependent parts.
+                     primary_index: Mapping[str, int], window: int):
+    """Split each table entry up to ``q^window`` into static and
+    substitution-dependent parts.
 
     Returns tuples ``(n, other, base, freeks, e)`` where ``other`` holds the
     variables untouched by the search, ``base`` is the exponent vector the
@@ -218,6 +223,8 @@ def _decompose_table(table, free_index: Mapping[str, int],
     nprims = len(primary_index)
     out = []
     for mono, n, e in table:
+        if n > window:
+            continue
         base = [0] * nprims
         freeks = []
         other = []
@@ -255,21 +262,6 @@ def _relabel_rows(entries, images: Sequence[Sequence[int]], qmax: int) -> list[d
     return rows
 
 
-def _survives(rows: Sequence[Mapping], pairs, upto: int) -> list[tuple[int, int]]:
-    """The (period, initial) pairs consistent with rows on degrees 1..upto."""
-    return [(m, s) for m, s in pairs
-            if all(rows[n] == rows[n + m] for n in range(s + 1, upto - m + 1))]
-
-
-def _key_monomial(key, primaries: Sequence[str]) -> Monomial:
-    other, *exps = key
-    parts = dict(other)
-    for name, k in zip(primaries, exps):
-        if k:
-            parts[name] = k
-    return Monomial.from_dict(parts)
-
-
 def search_relations(system: ColouredSystem,
                      primaries: Sequence[str],
                      qmax: int,
@@ -280,9 +272,10 @@ def search_relations(system: ColouredSystem,
     each free variable independently ranges over monomials
     ``prod(primary ** e)`` with ``0 <= e <= max_exponent``.  Primaries are
     never substituted.  The system's series is enumerated once to order
-    ``qmax``; each candidate substitution is tested for a periodic Euler
-    pattern (period at most ``qmax // 3``) and product-like candidates carry
-    a verified :class:`PeriodicPattern`.
+    ``qmax``.  Candidates whose relabelled Euler factors admit a period on
+    an early window are substituted and passed to
+    :func:`recognize_periodic_product`; product-like candidates carry the
+    :class:`PeriodicPattern` it returns.
 
     Candidates are returned sorted best first: product-like before not,
     fewer factor families per period before more, and enumeration order
@@ -306,21 +299,13 @@ def search_relations(system: ColouredSystem,
             "reduce max_exponent or the number of free colours")
 
     base = enumerate_series(system, qmax)
-    if not free:
-        pattern = recognize_periodic_product(base)
-        return [RelationCandidate((), pattern is not None, pattern)]
-
-    table = euler_factorize(base)
+    pairs = _pairs(qmax)
+    # Smallest window on which no (period, initial) pair is vacuous: the
+    # loosest pair (m, m), m = qmax // 3, still gets checked at degree 2m + 1.
+    window = min(qmax, 2 * (qmax // 3) + 1)
     free_index = {v: i for i, v in enumerate(free)}
     primary_index = {p: i for i, p in enumerate(prims)}
-    entries = _decompose_table(table, free_index, primary_index)
-
-    mmax = qmax // 3
-    pairs = [(m, s) for m in range(1, mmax + 1) for s in range(0, m + 1)]
-    # Smallest window on which no (period, initial) pair is vacuous: the
-    # loosest pair (mmax, mmax) still gets checked at degree mmax + mmax + 1.
-    window = min(qmax, 2 * mmax + 1)
-    early = [t for t in entries if t[0] <= window]
+    early = _decompose_table(euler_factorize(base), free_index, primary_index, window)
 
     vecs = list(itertools.product(range(max_exponent + 1), repeat=len(prims)))
     image_monos = {vec: Monomial.from_dict({p: e for p, e in zip(prims, vec) if e})
@@ -329,31 +314,16 @@ def search_relations(system: ColouredSystem,
     # every candidate's substitution
     choices = [{vec: (v, image_monos[vec]) for vec in vecs} for v in free]
 
-    def verified_pattern(rows, m: int, s: int, images) -> PeriodicPattern | None:
-        mono_rows: list[dict] = [
-            {_key_monomial(key, prims): e for key, e in row.items()}
-            for row in rows
-        ]
-        spec = ProductSpec(_pattern_factors(mono_rows, m, s))
-        mapping = {v: (image_monos[images[i]], 0) for v, i in free_index.items()}
-        substituted = substitute(base, SubstitutionMap(1, mapping), qmax, base.degmax)
-        if product_expand(spec, qmax, base.degmax) != substituted:
-            return None
-        nfactors = sum(len(mono_rows[p]) for p in range(s + 1, s + m + 1))
-        return PeriodicPattern(m, s, spec, nfactors)
-
     def candidates() -> Iterator[RelationCandidate]:
         for images in itertools.product(vecs, repeat=len(free)):
-            alive = _survives(_relabel_rows(early, images, window), pairs, window)
-            pattern = None
-            if alive:
-                rows = _relabel_rows(entries, images, qmax)
-                for m, s in alive:  # (m, s) ascending: first full match is minimal
-                    if all(rows[n] == rows[n + m]
-                           for n in range(s + 1, qmax - m + 1)):
-                        pattern = verified_pattern(rows, m, s, images)
-                        break
             sub = tuple(choices[i][vec] for i, vec in enumerate(images))
+            pattern = None
+            # with no pair to test (qmax < 3) the recognizer decides alone
+            if not pairs or _periods(_relabel_rows(early, images, window),
+                                     pairs, window):
+                mapping = SubstitutionMap(1, {v: (mono, 0) for v, mono in sub})
+                pattern = recognize_periodic_product(
+                    substitute(base, mapping, qmax, base.degmax))
             yield RelationCandidate(sub, pattern is not None, pattern)
 
     found = list(candidates())

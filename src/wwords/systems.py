@@ -304,7 +304,6 @@ class ColouredSystem:
     colours: tuple[ColourDef, ...]
     gap: MatrixGap
     rank_rule: RankRule
-    min_size: int = 1
     forbidden_parts: frozenset[tuple[int, str]] = frozenset()
     overline_marker: str | None = None
     erased_vars: tuple[str, ...] = ()
@@ -441,7 +440,7 @@ class ColouredSystem:
     def to_json(self) -> dict:
         out: dict = {
             "name": self.name,
-            "min_size": self.min_size,
+            "min_size": 0 if self.has_zero_parts else 1,
             "colours": [c.to_json() for c in self.colours],
             "rank": self.rank_rule.to_json(),
             "gap": self.gap.to_json(),
@@ -463,7 +462,6 @@ class ColouredSystem:
             colours=colours,
             gap=MatrixGap.from_json(data["gap"], [c.label for c in colours]),
             rank_rule=RankRule.from_json(data["rank"]),
-            min_size=int(data.get("min_size", 1)),
             forbidden_parts=frozenset((int(s), c)
                                       for s, c in data.get("forbidden", ())),
             overline_marker=data.get("overline_marker"),
@@ -544,7 +542,6 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
     for s, label in sys.forbidden_parts:
         new_forbidden.add((m * s + offsets[label], label))
     # every realizable part must land at a non-negative size
-    min_realizable: int | None = None
     for c in new_colours:
         smallest = c.domain.smallest()
         period = c.domain.modulus or m
@@ -557,14 +554,11 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
         if smallest < 0:
             raise SystemSpecError(
                 f"dilation sends colour {c.label!r} parts to negative size {smallest}")
-        min_realizable = smallest if min_realizable is None else min(min_realizable,
-                                                                     smallest)
     new_sys = ColouredSystem(
         name=name or f"{sys.name}-dilated-m{m}",
         colours=tuple(new_colours),
         gap=sys.gap.dilate(m, offsets),
         rank_rule=sys.rank_rule.dilate(m, offsets),
-        min_size=0 if (min_realizable is not None and min_realizable <= 0) else 1,
         forbidden_parts=frozenset(new_forbidden),
         overline_marker=sys.overline_marker,
         erased_vars=sys.erased_vars,
@@ -594,7 +588,6 @@ def relabel_colours(sys: ColouredSystem, label_map: Mapping[str, str],
         colours=new_colours,
         gap=sys.gap.relabel(label_map),
         rank_rule=sys.rank_rule.relabel(label_map),
-        min_size=sys.min_size,
         forbidden_parts=frozenset(
             (s, label_map.get(c, c)) for s, c in sys.forbidden_parts),
         overline_marker=sys.overline_marker,
@@ -742,7 +735,6 @@ def _overpartitions(name: str, weights: Mapping[str, Monomial],
                       for x, w in weights.items()),
         gap=gap_rule(labels),
         rank_rule=RankRule(len(labels), {x: i for i, x in enumerate(labels)}),
-        min_size=0,
         overline_marker="t",
         description=description,
     ).validate()

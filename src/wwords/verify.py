@@ -78,8 +78,7 @@ class IdentityCase:
     The A side is ``product`` (an infinite product), ``side_a`` (a second
     system counting the same objects), or both.  ``relation`` substitutes
     colour variables by monomials before any comparison (e.g. ``c -> ab``),
-    ``alignment`` renames B-side variables onto the A side's (must be a
-    bijection), and ``specialize`` finally pins variables to integers.
+    and ``specialize`` then pins variables to integers.
     ``dilation_of``/``dilation`` enable the ``dilation`` engine.  A case
     with ``conventions`` tries each named variant of the B side and asserts
     that exactly one matches the A side.  ``statistic`` names a textual
@@ -94,7 +93,6 @@ class IdentityCase:
     qmax: int = 30
     degmax: int | None = None
     relation: Mapping[str, Mapping[str, int]] | None = None
-    alignment: Mapping[str, str] | None = None
     specialize: Mapping[str, int] | None = None
     dilation_of: str | None = None
     dilation: DilationSpec | None = None
@@ -103,12 +101,6 @@ class IdentityCase:
     note: str = ""
 
     def __post_init__(self):
-        if self.alignment is not None:
-            values = list(self.alignment.values())
-            if len(set(values)) != len(values):
-                raise VerificationError(
-                    f"statistic alignment for {self.name} must be a bijection; "
-                    f"got {dict(self.alignment)}")
         if self.dilation_of is not None and self.dilation is None:
             raise VerificationError(
                 f"{self.name} names a weighted source but no dilation")
@@ -163,16 +155,11 @@ class Report:
 
 def _apply_tail(case: IdentityCase, f: TruncatedSeries, qmax: int,
                 b_side: bool) -> TruncatedSeries:
-    """Relation/alignment (B side only) and specialization (both sides)."""
+    """Relation (B side only) and specialization (both sides)."""
     if b_side and case.relation:
         images = {v: (Monomial.from_dict(dict(mono)), 0)
                   for v, mono in case.relation.items()}
         f = substitute(f, SubstitutionMap(1, images), qmax, f.degmax)
-    if b_side and case.alignment:
-        images = {old: (Monomial.var(new), 0)
-                  for old, new in case.alignment.items() if old != new}
-        if images:
-            f = substitute(f, SubstitutionMap(1, images), qmax, f.degmax)
     if case.specialize:
         f = f.specialize(dict(case.specialize))
     return f

@@ -260,6 +260,16 @@ class TestEnumerate:
         code, _, _ = run(["enumerate", "schur-weighted(5)", "--qmax", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("name, reason", [
+        ("andrews-overpartitions(0)", "needs r >= 1"),
+        ("schur-weighted(5)", "takes no parameter"),
+    ])
+    def test_refused_preset_reports_why(self, name, reason):
+        code, _, err = run(["enumerate", name, "--degmax", "3", "--qmax", "3"])
+        assert code == 2
+        assert reason in err
+        assert "not a readable file" not in err
+
     def test_unknown_system(self):
         code, _, err = run(["enumerate", "no-such", "--qmax", "5"])
         assert code == 2

@@ -14,9 +14,10 @@ from wwords import (
     identity_case,
     product_expand,
     recognize_periodic_product,
+    relabel_colours,
     search_relations,
 )
-from wwords.algebra import FactorizationError
+from wwords.algebra import FactorizationError, SubstitutionMap, substitute
 
 
 def mono(**exps):
@@ -170,11 +171,13 @@ class TestSearchRelations:
             assert set(dict(cand.substitution)) == {"c"}
 
     def test_system_without_free_colours_gives_single_candidate(self):
-        [cand] = search_relations(build_preset("schur-weighted"),
-                                  ["a", "b"], 12, max_exponent=2)
-        assert cand.substitution == ()
-        assert cand.product_like
-        assert cand.period == 2
+        # below q3 the window is too short for any period
+        for qmax, period in ((12, 2), (1, None), (2, None)):
+            [cand] = search_relations(build_preset("schur-weighted"),
+                                      ["a", "b"], qmax, max_exponent=2)
+            assert cand.substitution == ()
+            assert cand.product_like is (period is not None)
+            assert cand.period == period
 
     def test_erasure_alone_is_not_product_like_here(self):
         [cand] = search_relations(build_preset("schur-dilated-mod3"),
@@ -247,3 +250,31 @@ class TestSearchRelations:
                               "factors_per_period"}
         assert other["product_like"] is False
         assert other["period"] is None
+
+
+# ---------------------------------------------------------------------------
+# the search's prefilter drops no product
+# ---------------------------------------------------------------------------
+
+
+def _pinned_siladic():
+    pins = {"x1": mono(a=1), "x3": mono(b=1), "x0": mono(a=1, b=1)}
+    return relabel_colours(build_preset("siladic-dilated-free"), {}, pins,
+                           "siladic-dilated-free-pinned")
+
+
+@pytest.mark.parametrize("system, qmax", [
+    (build_preset("schur-dilated-mod3"), 18),
+    (_pinned_siladic(), 24),
+], ids=["schur-dilated-mod3", "siladic-pinned"])
+def test_every_candidate_pattern_is_the_recognizers(system, qmax):
+    # each candidate, kept or dropped by the early-window prefilter, carries
+    # exactly what recognizing its substituted series on the whole window gives
+    base = enumerate_series(system, qmax)
+    cands = search_relations(system, ["a", "b"], qmax, max_exponent=2)
+    assert len(cands) == 9 ** len(cands[0].substitution)
+    for cand in cands:
+        sub = SubstitutionMap(1, {v: (m, 0) for v, m in cand.substitution})
+        expected = recognize_periodic_product(substitute(base, sub, qmax))
+        got = cand.pattern
+        assert (got and got.to_json()) == (expected and expected.to_json())

@@ -66,7 +66,6 @@ def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
         return ColouredSystem(
             name=f"random-{index}", colours=tuple(colours), gap=gap,
             rank_rule=RankRule(len(labels), dict(zip(labels, order))),
-            min_size=0 if zero_parts else 1,
             overline_marker="t" if overlines else None,
             erased_vars=("b",) if rng.random() < 0.3 else (),
         ).validate()

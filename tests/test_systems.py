@@ -374,7 +374,7 @@ def test_overpartition_system_rank_and_order():
     assert sys.rank_rule.rank(P(0, "u2")) == 1
     assert sys.rank_rule.rank(P(0, "u1u2")) == 2
     assert sys.rank_rule.rank(P(1, "u1")) == 3
-    assert sys.min_size == 0 and sys.has_zero_parts
+    assert sys.to_json()["min_size"] == 0 and sys.has_zero_parts
 
 
 def test_overpartition_difference_rule():

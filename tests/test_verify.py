@@ -19,7 +19,6 @@ from wwords import (
 )
 from wwords.verify import (
     ENGINES,
-    IdentityCase,
     VerificationError,
     check_statistics,
     coefficient_table,
@@ -72,12 +71,6 @@ def test_every_case_builds_and_declares_engines():
         assert "enum" in engines and "recurrence" in engines
         assert ("product" in engines) == (case.product is not None)
         assert ("dilation" in engines) == (case.dilation_of is not None)
-
-
-def test_alignment_must_be_bijection():
-    with pytest.raises(VerificationError, match="bijection"):
-        IdentityCase(name="bad", side_b="schur-weighted",
-                     alignment={"a": "x", "b": "x"})
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +244,6 @@ def test_reports_are_reproducible_modulo_duration():
     for data in runs:
         data.pop("ms")
     assert runs[0] == runs[1]
-
-
-# ---------------------------------------------------------------------------
-# statistic alignment
-# ---------------------------------------------------------------------------
-
-
-def test_alignment_renames_tracked_variables():
-    # the two-colour product is symmetric under a <-> b, so verifying
-    # through the swap still succeeds and exercises the renaming path
-    case = dataclasses.replace(identity_case("theorem-2"),
-                               alignment={"a": "b", "b": "a"})
-    report = verify_identity(case, qmax=15)
-    assert report.equal is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 75 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 77 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -11,8 +11,10 @@ byte-identical JSON and the same exit codes on every run:
 * ``enumerate --qmax 14 --degmax 14`` and ``enumerate --list 8 --degmax 8``
   on every preset, the parametric families at r = 2;
 * ``check-eq --qmax 24`` on every builtin equation;
-* ``discover --primaries a,b`` on schur-dilated-mod3 at q18 and on
-  siladic-dilated-free at q24 (the full 59,049-candidate search);
+* ``discover --primaries a,b`` on schur-dilated-mod3 at q18, on
+  siladic-dilated-free at q24 (the full 59,049-candidate search), on
+  schur-weighted at q12 (no free colour) and on schur-dilated-mod3 at q2
+  with ``--max-exponent 1`` (a window too short for any period);
 * ``dilate`` on every distinct (system, dilation) pair the identities'
   dilation engine uses.
 
@@ -47,7 +49,9 @@ print(json.dumps({
 }))
 """
 
-DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"))
+DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"),
+            ("schur-weighted", "12"),
+            ("schur-dilated-mod3", "2", "--max-exponent", "1"))
 
 
 def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
@@ -76,8 +80,8 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
         cmds.append(["enumerate", p, "--qmax", "14", "--degmax", "14"])
         cmds.append(["enumerate", p, "--list", "8", "--degmax", "8"])
     cmds += [["check-eq", name, "--qmax", "24"] for name in reg["equations"]]
-    cmds += [["discover", system, "--primaries", "a,b", "--qmax", q]
-             for system, q in DISCOVER]
+    cmds += [["discover", system, "--primaries", "a,b", "--qmax", q, *more]
+             for system, q, *more in DISCOVER]
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
              for system, m, shifts in reg["dilations"]]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]

@@ -117,7 +117,9 @@ class RecurrenceState:
         # their own side and running sums keyed by p's side, so one
         # representative stands for each class, and signed sizes rise along
         # each class in processing order -- one monotone pointer per
-        # (sum, class) pair does the work
+        # (sum, class) pair does the work.  Every admissible neighbour of p
+        # comes before p: a ColouredSystem refuses, when it is built, a gap
+        # rule that lets a part of larger key sit directly below another
         def group(p):
             return p.colour, p.over
 
@@ -132,7 +134,7 @@ class RecurrenceState:
         ptrs: dict = {}
 
         for i, p in enumerate(parts):
-            key, own = sum_key(p), nb_class(p)
+            key = sum_key(p)
             acc = sums.setdefault(key, _zero_buckets(qmax))
             for c, idx, signed, rep in classes:
                 gap = sys.min_gap(p, rep) if sign > 0 else sys.min_gap(rep, p)
@@ -142,16 +144,6 @@ class RecurrenceState:
                     _add_shifted(acc, self._E[idx[ptr]])
                     ptr += 1
                 ptrs[key, c] = ptr
-                need = bisect_right(signed, bound)
-                if c == own and sign * p.size <= bound:
-                    need -= 1  # p next to itself: the geometric closure below
-                if need > ptr:
-                    missing = next(parts[j] for j in idx[ptr:] if j != i)
-                    raise RecurrenceError(
-                        f"rank inconsistency: E for part {p} needs E for "
-                        f"{missing}, which comes after it in the "
-                        f"{self.direction}-part order; the gap rule and the "
-                        "part order are incompatible")
 
             # E_p = w q^s (1 + acc), closed geometrically by 1/(1 - w q^s)
             # when p may sit directly next to itself; the part list already

@@ -7,14 +7,17 @@ integers), a gap matrix giving the minimal difference between adjacent
 parts, and explicit forbidden parts.  Every system, the overpartition
 families included, states its gap condition as one MatrixGap; a column
 "colour~" gives the gap to an overlined lower part.  Systems are
-immutable; dilation produces a new system with sizes k -> m*k + o_x and
-correspondingly transformed gaps, ranks, and domains.
+immutable and checked once, when they are built, against every rule the
+engines rely on; dilation produces a new system with sizes k -> m*k + o_x
+and correspondingly transformed gaps, ranks, and domains.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cache
+from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Monomial, SubstitutionMap
@@ -64,12 +67,6 @@ class SizeDomain:
         if self.modulus is None:
             return True
         return size % self.modulus in self.residues
-
-    def smallest(self) -> int:
-        s = self.min_size
-        while not self.contains(s):
-            s += 1
-        return s
 
     def sizes_up_to(self, bound: int) -> list[int]:
         return [s for s in range(self.min_size, bound + 1) if self.contains(s)]
@@ -324,6 +321,62 @@ class ColouredSystem:
                 raise SystemSpecError(f"colour label {label!r} holds '~' or '|', "
                                       "which mark gap-matrix columns and rows")
         object.__setattr__(self, "_label_index", index)
+        self._check_validity()
+
+    def _check_validity(self) -> None:
+        """Refuse a system the engines cannot run: a colour with parts of
+        negative size, a missing rank offset or gap entry, two parts of one
+        rank, or a part that may sit directly below a part of smaller key
+        (both engines add parts in key order).
+
+        The check is exact on a finite window.  Above every minimum size
+        and forbidden part, validity repeats with the period L of the
+        domains and gap rows, and shifting a pair of parts by L keeps its
+        gap and rank difference, so upper parts up to two periods past the
+        largest gap stand for all.  The rank difference of a pair grows
+        with its size difference, so of each lower column only the largest
+        part admissible below an upper part can disagree with it, and only
+        one part of each other colour can share its rank.
+        """
+        period = lcm(self.gap.class_modulus or 1,
+                     *(c.domain.modulus or 1 for c in self.colours))
+        stable = max([c.domain.min_size for c in self.colours]
+                     + [s + 1 for s, _ in self.forbidden_parts], default=0)
+        gaps = [0] + [g for cols in self.gap.rows.values() for g in cols.values()]
+        top = stable + max(gaps) + 2 * period  # upper parts: sizes below top
+        sizes = {c.label: [s for s in c.domain.sizes_up_to(top - min(gaps))
+                           if (s, c.label) not in self.forbidden_parts]
+                 for c in self.colours}
+        for label, valid in sizes.items():
+            if valid[0] < 0:
+                raise SystemSpecError(
+                    f"colour {label!r} has parts of negative size {valid[0]}")
+        rank, mult = self.rank_rule.rank, self.rank_rule.mult
+        # an overlined upper part has its plain twin's gaps and a larger key
+        columns = [ColouredPart(0, d.label, over) for d in self.colours
+                   for over in (False, True)[: 1 + d.overline_allowed]]
+        for c in self.colours:
+            for s in sizes[c.label]:
+                if s >= top:
+                    break
+                upper = ColouredPart(s, c.label)
+                for column in columns:
+                    size, rem = divmod(rank(upper) - rank(column), mult)
+                    twin = column._replace(size=size)
+                    if (not rem and not column.over and column.colour != c.label
+                            and self.part_validity(twin) is None):
+                        raise SystemSpecError(f"rank collision: {upper} and "
+                                              f"{twin} share rank {rank(upper)}")
+                    below = sizes[column.colour]
+                    i = bisect_right(below, s - self.min_gap(upper, column))
+                    if i == 0:
+                        continue
+                    lower = column._replace(size=below[i - 1])
+                    if self.part_key(upper) < self.part_key(lower):
+                        raise SystemSpecError(
+                            "gap rule and order disagree: "
+                            f"{lower} may sit directly below {upper}, "
+                            f"but rank({upper}) < rank({lower})")
 
     # -- lookups ------------------------------------------------------------
 
@@ -384,56 +437,22 @@ class ColouredSystem:
     def min_gap(self, upper: ColouredPart, lower: ColouredPart) -> int:
         return self.gap.min_gap(upper, lower)
 
-    def part_rank(self, part: ColouredPart) -> int:
-        reason = self.part_validity(part)
-        if reason is not None:
-            raise SystemSpecError(reason)
-        return self.rank_rule.rank(part)
-
     def part_key(self, part: ColouredPart) -> tuple[int, int]:
         """(rank, overline flag): the engines' processing order."""
         return (self.rank_rule.rank(part), 1 if part.over else 0)
 
-    def parts_up_to(self, max_size: int,
-                    include_forbidden: bool = False) -> list[ColouredPart]:
+    def parts_up_to(self, max_size: int) -> list[ColouredPart]:
         """All valid parts with size <= max_size, ascending by part_key."""
         out: list[ColouredPart] = []
         for c in self.colours:
             for s in c.domain.sizes_up_to(max_size):
-                if not include_forbidden and (s, c.label) in self.forbidden_parts:
+                if (s, c.label) in self.forbidden_parts:
                     continue
                 out.append(ColouredPart(s, c.label, False))
                 if c.overline_allowed:
                     out.append(ColouredPart(s, c.label, True))
         out.sort(key=self.part_key)
         return out
-
-    # -- construction-time validation ----------------------------------------
-
-    def validate(self, size_limit: int = 40) -> "ColouredSystem":
-        """Check rank injectivity and gap/order compatibility on a window."""
-        if self.has_zero_parts:
-            size_limit = min(size_limit, 12)
-        parts = self.parts_up_to(size_limit)
-        ranks: dict[int, ColouredPart] = {}
-        for p in parts:
-            if p.over:
-                continue
-            rk = self.rank_rule.rank(p)
-            if rk in ranks:
-                raise SystemSpecError(
-                    f"rank collision: {ranks[rk]} and {p} share rank {rk}")
-            ranks[rk] = p
-        for upper in parts:
-            ku = self.part_key(upper)
-            for lower in parts:
-                if upper.size - lower.size >= self.min_gap(upper, lower):
-                    if ku < self.part_key(lower):
-                        raise SystemSpecError(
-                            "gap rule and order disagree: "
-                            f"{lower} may sit directly below {upper}, "
-                            f"but rank({upper}) < rank({lower})")
-        return self
 
     # -- serialization --------------------------------------------------------
 
@@ -467,7 +486,7 @@ class ColouredSystem:
             overline_marker=data.get("overline_marker"),
             erased_vars=tuple(data.get("erased", ())),
             description=data.get("description", ""),
-        ).validate()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +560,7 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
     new_forbidden = set()
     for s, label in sys.forbidden_parts:
         new_forbidden.add((m * s + offsets[label], label))
-    # every realizable part must land at a non-negative size
-    for c in new_colours:
-        smallest = c.domain.smallest()
-        period = c.domain.modulus or m
-        while (smallest, c.label) in new_forbidden:
-            nxt = [s for s in range(smallest + 1, smallest + 1 + 2 * period)
-                   if c.domain.contains(s)]
-            if not nxt:
-                break
-            smallest = nxt[0]
-        if smallest < 0:
-            raise SystemSpecError(
-                f"dilation sends colour {c.label!r} parts to negative size {smallest}")
-    new_sys = ColouredSystem(
+    return ColouredSystem(
         name=name or f"{sys.name}-dilated-m{m}",
         colours=tuple(new_colours),
         gap=sys.gap.dilate(m, offsets),
@@ -564,7 +570,6 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
         erased_vars=sys.erased_vars,
         description=f"{sys.description} (dilated q -> q^{m})".strip(),
     )
-    return new_sys.validate()
 
 
 def statistic_substitution(d: DilationSpec) -> SubstitutionMap:
@@ -593,7 +598,7 @@ def relabel_colours(sys: ColouredSystem, label_map: Mapping[str, str],
         overline_marker=sys.overline_marker,
         erased_vars=(),
         description=f"{sys.name} with free colour variables",
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +627,7 @@ def _schur_weighted() -> ColouredSystem:
         name="schur-weighted", colours=colours, gap=gap, rank_rule=rank,
         description="distinct parts in colours ab < a < b with gap 2 after "
                     "ab-coloured parts or ascending colour pairs",
-    ).validate()
+    )
 
 
 _SCHUR_DILATION = DilationSpec(3, var_shifts={"a": -2, "b": -1})
@@ -644,7 +649,7 @@ def _schur_dilated_mod3() -> ColouredSystem:
     return ColouredSystem(
         name="schur-dilated-mod3", colours=colours, gap=gap, rank_rule=rank,
         description="parts >= 3 apart coloured by residue mod 3 (free colours)",
-    ).validate()
+    )
 
 
 def _siladic_weighted(convention: str = "A") -> ColouredSystem:
@@ -671,27 +676,13 @@ def _siladic_weighted(convention: str = "A") -> ColouredSystem:
         forbidden.add((1, "b"))
     elif convention != "A":
         raise SystemSpecError(f"unknown small-part convention {convention!r}")
-    sys = ColouredSystem(
+    return ColouredSystem(
         name="siladic-weighted" + ("" if convention == "A" else "-conv" + convention),
         colours=colours, gap=gap, rank_rule=rank,
         forbidden_parts=frozenset(forbidden),
         description="five-colour system with parity-dependent gaps; small-part "
                     f"convention {convention}",
-    ).validate()
-    _assert_siladic_segment(sys)
-    return sys
-
-
-def _assert_siladic_segment(sys: ColouredSystem) -> None:
-    # the displayed initial segment of the order (forbidden parts included,
-    # since the order is on coloured integers, not on allowed parts)
-    segment = [(1, "ab"), (1, "a"), (1, "b2"), (1, "b"),
-               (2, "ab"), (2, "a"), (3, "a2"), (2, "b"),
-               (3, "ab"), (3, "a"), (3, "b2"), (3, "b")]
-    parts = [p for p in sys.parts_up_to(3, include_forbidden=True) if not p.over]
-    got = [(p.size, p.colour) for p in parts][: len(segment)]
-    if got != segment:
-        raise SystemSpecError(f"order rule breaks the documented segment: {got}")
+    )
 
 
 _SILADIC_DILATION = DilationSpec(4, var_shifts={"a": -3, "b": -1})
@@ -717,7 +708,7 @@ def _primc_weighted() -> ColouredSystem:
         erased_vars=("b",),
         description="four-colour crystal-base system; b tracked internally "
                     "and erased on output",
-    ).validate()
+    )
 
 
 _PRIMC_DILATION = DilationSpec(2, var_shifts={"a": -1, "b": 0, "c": 0, "d": 1})
@@ -737,7 +728,7 @@ def _overpartitions(name: str, weights: Mapping[str, Monomial],
         rank_rule=RankRule(len(labels), {x: i for i, x in enumerate(labels)}),
         overline_marker="t",
         description=description,
-    ).validate()
+    )
 
 
 def _andrews_overpartitions(r: int) -> ColouredSystem:
@@ -764,7 +755,7 @@ def _distinct_odd() -> ColouredSystem:
         gap=MatrixGap({"a": {"a": 2}}),
         rank_rule=RankRule(1, {"a": 0}),
         description="partitions into distinct odd parts (uncoloured counting)",
-    ).validate()
+    )
 
 
 def _distinct_residues(name: str, modulus: int, residues: tuple[int, ...],
@@ -778,11 +769,11 @@ def _distinct_residues(name: str, modulus: int, residues: tuple[int, ...],
         gap=MatrixGap(rows),
         rank_rule=RankRule(1, {v: 0 for v in vars_}),
         description=f"distinct parts in residue classes {residues} mod {modulus}",
-    ).validate()
+    )
 
 
 def _siladic_dilated_free() -> ColouredSystem:
-    base = dilate_system(_siladic_weighted(), _SILADIC_DILATION, "siladic-dilated")
+    base = build_preset("siladic-dilated")
     label_map = {"a": "x1", "b": "x3", "ab": "x0", "a2": "x6", "b2": "x2"}
     weight_map = {old: Monomial.var(new) for old, new in label_map.items()}
     return relabel_colours(base, label_map, weight_map, "siladic-dilated-free")
@@ -794,13 +785,13 @@ _PRESET_BUILDERS = {
     "siladic-weighted": lambda: _siladic_weighted("A"),
     "siladic-weighted-convB": lambda: _siladic_weighted("B"),
     "siladic-dilated": lambda: dilate_system(
-        _siladic_weighted(), _SILADIC_DILATION, "siladic-dilated"),
+        build_preset("siladic-weighted"), _SILADIC_DILATION, "siladic-dilated"),
     "siladic-dilated-free": lambda: _siladic_dilated_free(),
     "schur-companion": lambda: dilate_system(
-        _siladic_weighted(), _COMPANION_DILATION, "schur-companion"),
+        build_preset("siladic-weighted"), _COMPANION_DILATION, "schur-companion"),
     "primc-weighted": lambda: _primc_weighted(),
     "primc-dilated": lambda: dilate_system(
-        _primc_weighted(), _PRIMC_DILATION, "primc-dilated"),
+        build_preset("primc-weighted"), _PRIMC_DILATION, "primc-dilated"),
     "distinct-odd": lambda: _distinct_odd(),
     "distinct-mod3": lambda: _distinct_residues(
         "distinct-mod3", 3, (1, 2), ("a", "b")),
@@ -835,7 +826,7 @@ def preset_dilation(name: str) -> DilationSpec:
 def build_preset(name: str) -> ColouredSystem:
     """Build a named preset.  Parametric families take their parameter r
     inline, as in 'andrews-overpartitions(2)'.  Systems are immutable, so
-    each preset is built and validated once per process."""
+    each preset is built and checked once per process."""
     base, r = name, None
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)

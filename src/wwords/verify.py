@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .algebra import (Monomial, ProductFactor, ProductSpec, SubstitutionMap,
                       TruncatedSeries, product_expand, substitute)
-from .enumeration import enumerate_series, list_partitions, partition_weight
+from .enumeration import _walk, enumerate_series, partition_weight
 from .recurrence import dp_series
 from .systems import (ColouredPart, DilationSpec, build_preset,
                       preset_dilation, statistic_substitution)
@@ -429,8 +429,10 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
         max_n = default_cap
     sys_b = build_preset(case.side_b)
     pool: list[tuple[ColouredPart, ...]] = []
-    for n in range(max_n + 1):
-        pool.extend(list_partitions(sys_b, n))
+    _walk(sys_b, max_n, None, lambda chain, _weight, _total: pool.append(chain))
+    # by size, then as list_partitions orders the partitions of one size
+    pool.sort(key=lambda chain: (sum(p.size for p in chain),
+                                 [sys_b.part_key(p) for p in chain]))
     rng = random.Random(seed)
     chosen = list(pool) if len(pool) <= samples else rng.sample(pool, samples)
     mismatches = []

@@ -10,6 +10,7 @@ it shares no code or conventions with the package.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 
 Key = tuple[tuple[str, int], ...]
@@ -231,3 +232,76 @@ def series_from_chains(chains, qmax: int, size_of, vars_of) -> list[dict[Key, in
         k = chain_weight_key(chain, vars_of)
         out[n][k] = out[n].get(k, 0) + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# system validity by an all-pairs scan
+# ---------------------------------------------------------------------------
+
+
+def system_order_fault(data: dict) -> str | None:
+    """Why a matrix-gap system, given as its JSON document, cannot be
+    processed in rank order -- a missing rank offset or gap entry, a part
+    of negative size, two parts of one rank, or a part that may sit
+    directly below a part of smaller (rank, overline) key -- or None.
+
+    Every pair of parts up to a window is scanned.  Above every minimum
+    size and forbidden part, validity repeats with the period of the
+    domains and the gap rows, and a pair shifted by it keeps its gap and
+    its rank difference.  A colliding or disagreeing pair lies at most
+    max(|gap|, offset spread / mult) apart, so a window that far past two
+    periods above that region holds a shifted copy of each.
+    """
+    colours = data["colours"]
+    mult, offsets = data["rank"]["mult"], data["rank"]["offsets"]
+    rows = data["gap"]["rows"]
+    cmod = data["gap"].get("class_modulus")
+    forbidden = {(s, c) for s, c in data.get("forbidden", ())}
+    if any(c["label"] not in offsets for c in colours):
+        return "rank offset missing"
+    period = lcm(cmod or 1, *(c["domain"].get("modulus") or 1 for c in colours))
+    stable = max([c["domain"]["min"] for c in colours]
+                 + [s + 1 for s, _ in forbidden])
+    spread = max(offsets.values()) - min(offsets.values())
+    widest = max((abs(g) for cols in rows.values() for g in cols.values()),
+                 default=0)
+    top = stable + 2 * period + max(widest, spread // mult + 1)
+
+    parts = []
+    for c in colours:
+        dom = c["domain"]
+        for s in range(dom["min"], top + 1):
+            if dom.get("modulus") and s % dom["modulus"] not in dom["residues"]:
+                continue
+            if (s, c["label"]) in forbidden:
+                continue
+            if s < 0:
+                return "negative size"
+            parts.append((s, c["label"], False))
+            if c.get("overline"):
+                parts.append((s, c["label"], True))
+
+    def key(p):
+        return mult * p[0] + offsets[p[1]], p[2]
+
+    def gap(upper, lower):
+        row = rows.get(upper[1] if cmod is None
+                       else f"{upper[1]}|{upper[0] % cmod}", {})
+        if lower[2] and lower[1] + "~" in row:
+            return row[lower[1] + "~"]
+        return row.get(lower[1])
+
+    ranks = set()
+    for p in parts:
+        if not p[2]:
+            if key(p)[0] in ranks:
+                return "rank collision"
+            ranks.add(key(p)[0])
+    for upper in parts:
+        for lower in parts:
+            g = gap(upper, lower)
+            if g is None:
+                return "gap entry missing"
+            if upper[0] - lower[0] >= g and key(upper) < key(lower):
+                return "gap rule and order disagree"
+    return None

@@ -250,6 +250,18 @@ class TestEnumerate:
         assert code_a == code_b == 0
         assert doc_a == doc_b
 
+    def test_system_file_with_negative_sizes_is_engine_error(self, tmp_path):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({
+            "name": "neg",
+            "colours": [{"label": "a", "weight": {"a": 1}, "domain": {"min": -1}}],
+            "rank": {"mult": 1, "offsets": {"a": 0}},
+            "gap": {"kind": "matrix", "rows": {"a": {"a": 1}}}}))
+        code, out, err = run(["enumerate", str(path), "--qmax", "4",
+                              "--degmax", "2"])
+        assert code == 2 and out == ""
+        assert "negative size -1" in err
+
     def test_parametric_preset(self):
         code, doc, _ = run_json(["enumerate", "primary-overpartitions(1)",
                                  "--qmax", "5", "--degmax", "4"])

@@ -301,7 +301,7 @@ def test_walk_depth_is_not_bounded_by_recursion_limit():
         name="ones", colours=(ColourDef("a", Monomial.one(),
                                         SizeDomain(1, 2000, frozenset({1}))),),
         gap=MatrixGap({"a": {"a": 0}}), rank_rule=RankRule(1, {"a": 0}),
-    ).validate()
+    )
     assert count_partitions(ones, 1500) == [1] * 1501
 
 

@@ -5,6 +5,7 @@ and product factors with large exponents."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -34,11 +35,11 @@ from wwords import (
     substitute,
 )
 
-from oracles import expand_product
+from oracles import expand_product, system_order_fault
 
 
 def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
-    """A small matrix-gap system, or None when validate() rejects it."""
+    """A small matrix-gap system, or None when construction refuses it."""
     labels = ["c0", "c1", "c2"][: rng.randrange(1, 4)]
     zero_parts = rng.random() < 0.3
     overlines = rng.random() < 0.2
@@ -68,13 +69,13 @@ def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
             rank_rule=RankRule(len(labels), dict(zip(labels, order))),
             overline_marker="t" if overlines else None,
             erased_vars=("b",) if rng.random() < 0.3 else (),
-        ).validate()
+        )
     except SystemSpecError:
         return None
 
 
 def _random_cases(seed: int):
-    """(system, qmax, degmax) for the generated systems validate() accepts."""
+    """(system, qmax, degmax) for the generated systems construction accepts."""
     rng = random.Random(seed)
     for attempt in range(150):
         sys = _random_system(rng, attempt)
@@ -99,6 +100,79 @@ def test_recurrence_matches_enumeration_on_random_systems():
         checked["degmax"] += degmax is not None
         checked["over"] += sys.overline_marker is not None
     assert min(checked.values()) >= 3, checked
+
+
+def _random_system_json(rng: random.Random, index: int) -> dict:
+    """The JSON document of a small system that may break any validity
+    rule: negative gaps and sizes, multi-residue domains, gap rows by size
+    parity, forbidden parts, overlines, and now and then a missing gap
+    entry or rank offset."""
+    labels = ["c0", "c1", "c2"][: rng.randrange(1, 4)]
+    colours = []
+    for label in labels:
+        domain = {"min": -1 if rng.random() < 0.1 else rng.randrange(4)}
+        if rng.random() < 0.4:
+            modulus = rng.randrange(2, 4)
+            domain.update(modulus=modulus, residues=sorted(
+                rng.sample(range(modulus), rng.randrange(1, modulus + 1))))
+        colours.append({"label": label, "weight": {label: 1}, "domain": domain,
+                        "overline": rng.random() < 0.25})
+    class_modulus = 2 if rng.random() < 0.3 else None
+    row_keys = [label if class_modulus is None else f"{label}|{r}"
+                for label in labels for r in range(class_modulus or 1)]
+    rows = {}
+    for rk in row_keys:
+        rows[rk] = {c: rng.randrange(-2, 0) if rng.random() < 0.1
+                    else rng.randrange(4) for c in labels}
+        rows[rk].update({f"{c}~": rng.randrange(-1, 5)
+                         for c in labels if rng.random() < 0.3})
+    if rng.random() < 0.05:
+        rk = rng.choice(row_keys)
+        del rows[rk][rng.choice(labels)]
+    offsets = dict(zip(labels, rng.sample(range(-4, 5), len(labels))))
+    if rng.random() < 0.02:
+        del offsets[rng.choice(labels)]
+    forbidden = sorted({(rng.randrange(-1, 5), rng.choice(labels))
+                        for _ in range(rng.choice([0, 0, 1, 2]))})
+    gap = {"kind": "matrix", "rows": rows}
+    if class_modulus:
+        gap["class_modulus"] = class_modulus
+    return {"name": f"random-{index}", "colours": colours,
+            "rank": {"mult": rng.randrange(2, 5), "offsets": offsets},
+            "gap": gap, "forbidden": [list(f) for f in forbidden]}
+
+
+def test_construction_refuses_what_an_all_pairs_scan_refuses():
+    """Construction accepts exactly the generated systems that the oracle's
+    all-pairs scan accepts, and the recurrence, which no longer checks the
+    order itself, agrees with enumeration on every one it accepts."""
+    rng = random.Random(5150)
+    refused, accepted = Counter(), Counter()
+    for index in range(1000):
+        data = _random_system_json(rng, index)
+        fault = system_order_fault(data)
+        try:
+            sys = ColouredSystem.from_json(data)
+        except SystemSpecError as exc:
+            assert fault is not None, (data, str(exc))
+            refused[fault] += 1
+            continue
+        assert fault is None, (data, fault)
+        degmax = 3 if sys.has_zero_parts else None
+        expected = enumerate_series(sys, 7, degmax)
+        for direction in ("largest", "smallest"):
+            got = RecurrenceState(sys, 7, degmax, direction).total_series()
+            assert got == expected, (data, direction)
+        accepted["all"] += 1
+        accepted["negative gap"] += any(g < 0 for cols in sys.gap.rows.values()
+                                        for g in cols.values())
+        accepted["parity rows"] += sys.gap.class_modulus is not None
+        accepted["forbidden"] += bool(sys.forbidden_parts)
+        accepted["overline"] += any(c.overline_allowed for c in sys.colours)
+        accepted["residues"] += any(len(c.domain.residues) > 1 for c in sys.colours)
+        accepted["zero parts"] += sys.has_zero_parts
+    assert len(refused) == 5 and min(refused.values()) >= 10, refused
+    assert min(accepted.values()) >= 10, accepted
 
 
 def _assert_dilation_commutes(sys, d, qmax, degmax):

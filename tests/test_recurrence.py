@@ -205,20 +205,18 @@ def test_smallest_direction_state_has_no_part_lookups():
 
 def test_rank_inconsistency_detected():
     # colour u allows colour-v parts one size above it directly below itself,
-    # so computing E for k_u needs E for (k+1)_v, which has a higher rank (and
-    # in the smallest-part order, the other way round)
-    sys = ColouredSystem(
-        name="bad",
-        colours=(
-            ColourDef("u", Monomial.var("u"), SizeDomain(1)),
-            ColourDef("v", Monomial.var("v"), SizeDomain(1)),
-        ),
-        gap=MatrixGap({"u": {"u": 1, "v": -1}, "v": {"u": 2, "v": 1}}),
-        rank_rule=RankRule(2, {"u": 0, "v": 1}),
-    )
-    for direction in ("largest", "smallest"):
-        with pytest.raises(RecurrenceError, match="rank inconsistency"):
-            RecurrenceState(sys, 6, direction=direction)
+    # though v parts rank above u parts: neither part order could process
+    # the system, so it is refused when it is built
+    with pytest.raises(SystemSpecError, match="2_v may sit directly below 1_u"):
+        ColouredSystem(
+            name="bad",
+            colours=(
+                ColourDef("u", Monomial.var("u"), SizeDomain(1)),
+                ColourDef("v", Monomial.var("v"), SizeDomain(1)),
+            ),
+            gap=MatrixGap({"u": {"u": 1, "v": -1}, "v": {"u": 2, "v": 1}}),
+            rank_rule=RankRule(2, {"u": 0, "v": 1}),
+        )
 
 
 # ---------------------------------------------------------------------------

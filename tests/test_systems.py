@@ -38,7 +38,6 @@ def test_domain_membership_and_listing():
     assert odd.contains(3) and odd.contains(11)
     assert not odd.contains(4)
     assert odd.sizes_up_to(10) == [3, 5, 7, 9]
-    assert odd.smallest() == 3
 
     free = SizeDomain(min_size=1)
     assert free.contains(1) and free.contains(100)
@@ -123,9 +122,9 @@ def test_only_parametric_families_take_a_parameter(name):
 def test_schur_weighted_order_and_gaps():
     sys = build_preset("schur-weighted")
     # order on coloured integers: 1_ab < 1_a < 1_b < 2_ab < 2_a < 2_b < ...
-    assert sys.part_rank(P(2, "ab")) == 3
-    assert sys.part_rank(P(1, "a")) == 1
-    assert sys.part_rank(P(1, "b")) == 2
+    assert sys.rank_rule.rank(P(2, "ab")) == 3
+    assert sys.rank_rule.rank(P(1, "a")) == 1
+    assert sys.rank_rule.rank(P(1, "b")) == 2
     # gap 2 below an ab part and below ascending colour pairs, else 1
     assert sys.min_gap(P(5, "ab"), P(3, "a")) == 2
     assert sys.min_gap(P(5, "a"), P(4, "b")) == 2   # a < b ascending downward
@@ -139,7 +138,7 @@ def test_schur_weighted_order_and_gaps():
 
 def test_schur_weighted_part_listing_order():
     sys = build_preset("schur-weighted")
-    parts = sys.parts_up_to(2, include_forbidden=True)
+    parts = sys.parts_up_to(2)
     assert [(p.size, p.colour) for p in parts] == [
         (1, "a"), (1, "b"), (2, "ab"), (2, "a"), (2, "b")]
 
@@ -159,7 +158,6 @@ def test_five_colour_order_segment():
     }
     for p, rk in expected_ranks.items():
         assert sys.rank_rule.rank(p) == rk
-    assert sys.part_rank(P(3, "a2")) == 6
 
 
 def test_five_colour_domains_and_conventions():
@@ -197,8 +195,6 @@ def test_part_validity_reasons():
     assert "forbidden" in sys.part_validity(P(1, "ab"))
     assert "domain" in sys.part_validity(P(2, "a2"))
     assert "unknown colour" in sys.part_validity(P(2, "zz"))
-    with pytest.raises(SystemSpecError):
-        sys.part_rank(P(1, "ab"))
     with pytest.raises(SystemSpecError):  # no gap row for an even a2 part
         sys.min_gap(P(2, "a2"), P(1, "a"))
 
@@ -484,7 +480,7 @@ def _tiny_system(rank_offsets, gap_rows):
         ),
         gap=MatrixGap(gap_rows),
         rank_rule=RankRule(2, rank_offsets),
-    ).validate()
+    )
 
 
 def test_rank_collision_rejected():
@@ -499,6 +495,32 @@ def test_gap_order_disagreement_rejected():
     with pytest.raises(SystemSpecError, match="disagree"):
         _tiny_system({"a": -2, "b": -1}, {"a": {"a": 1, "b": 0},
                                           "b": {"a": 1, "b": 1}})
+
+
+def test_disagreement_beyond_any_window_rejected():
+    # a 44_a part admits 45_b directly below it, the first b part, though
+    # b parts rank above a parts of the same size and of the next one
+    with pytest.raises(SystemSpecError, match="45_b may sit directly below 44_a"):
+        ColouredSystem(
+            name="far",
+            colours=(ColourDef("a", Monomial.var("a"), SizeDomain(min_size=1)),
+                     ColourDef("b", Monomial.var("b"), SizeDomain(min_size=45))),
+            gap=MatrixGap({"a": {"a": 1, "b": -1}, "b": {"a": 2, "b": 1}}),
+            rank_rule=RankRule(2, {"a": 0, "b": 1}),
+        )
+
+
+def test_negative_part_sizes_rejected():
+    def one_colour(forbidden):
+        return ColouredSystem(
+            name="neg",
+            colours=(ColourDef("a", Monomial.var("a"), SizeDomain(min_size=-1)),),
+            gap=MatrixGap({"a": {"a": 1}}), rank_rule=RankRule(1, {"a": 0}),
+            forbidden_parts=forbidden)
+
+    with pytest.raises(SystemSpecError, match="negative size -1"):
+        one_colour(frozenset())
+    assert one_colour(frozenset({(-1, "a")})).parts_up_to(1) == [P(0, "a"), P(1, "a")]
 
 
 def test_incomplete_matrix_rejected():

@@ -21,7 +21,6 @@ from .algebra import (
     TruncatedSeries,
     TruncationMismatch,
     euler_factorize,
-    euler_reexpand,
     product_expand,
     substitute,
 )
@@ -29,14 +28,12 @@ from .enumeration import (
     EnumerationLimitError,
     count_partitions,
     enumerate_series,
-    is_valid_partition,
     list_partitions,
     partition_weight,
 )
 from .recurrence import (
     EqTerm,
     EquationRangeError,
-    EquationReport,
     EquationSpec,
     RecurrenceError,
     RecurrenceState,
@@ -54,26 +51,19 @@ from .systems import (
     RankRule,
     SizeDomain,
     SystemSpecError,
-    andrews_colour_data,
-    andrews_colour_label,
     build_preset,
     dilate_system,
-    preset_dilation,
     preset_names,
     relabel_colours,
     statistic_substitution,
 )
 from .discovery import (
     DiscoveryError,
-    PeriodicPattern,
-    RelationCandidate,
     recognize_periodic_product,
     search_relations,
 )
 from .verify import (
-    ENGINES,
     IdentityCase,
-    Report,
     VerificationError,
     check_statistics,
     coefficient_table,
@@ -99,18 +89,15 @@ __all__ = [
     "TruncatedSeries",
     "TruncationMismatch",
     "euler_factorize",
-    "euler_reexpand",
     "product_expand",
     "substitute",
     "EnumerationLimitError",
     "count_partitions",
     "enumerate_series",
-    "is_valid_partition",
     "list_partitions",
     "partition_weight",
     "EqTerm",
     "EquationRangeError",
-    "EquationReport",
     "EquationSpec",
     "RecurrenceError",
     "RecurrenceState",
@@ -126,17 +113,12 @@ __all__ = [
     "RankRule",
     "SizeDomain",
     "SystemSpecError",
-    "andrews_colour_data",
-    "andrews_colour_label",
     "build_preset",
     "dilate_system",
-    "preset_dilation",
     "preset_names",
     "relabel_colours",
     "statistic_substitution",
-    "ENGINES",
     "IdentityCase",
-    "Report",
     "VerificationError",
     "check_statistics",
     "coefficient_table",
@@ -146,8 +128,6 @@ __all__ = [
     "identity_names",
     "verify_identity",
     "DiscoveryError",
-    "PeriodicPattern",
-    "RelationCandidate",
     "recognize_periodic_product",
     "search_relations",
     "__version__",

@@ -6,8 +6,8 @@ truncated at a fixed q-order ``qmax`` (optionally also at a total colour
 degree ``degmax``).  The pieces fit together as
 
     Monomial        a^2*b              (immutable, interned)
-    Polynomial      3*a^2*b - c        (sparse dict of monomials)
     TruncatedSeries sum c_n(vars) q^n  for n = 0..qmax
+    Polynomial      3*a^2*b - c        (read-only view of one c_n)
     ProductSpec     prod (1 - c q^(start+j*mod))^(-power)
     SubstitutionMap q -> q^m, var -> monomial * q^shift
 
@@ -18,11 +18,13 @@ They are interned: there is one instance per value, so the dict lookups
 of every kernel compare and hash them by identity.  Their hash is not
 stable across processes, and no output depends on it.
 
-Every series product in the package runs on one in-place kernel over
-buckets (``list[dict[Monomial, int]]``, index = power of q):
-:func:`_add_shifted` adds a shifted, scaled copy of one series into another,
-and :func:`_factor_step` multiplies or divides by a binomial factor
-``(1 - c*mono*q^n)^|e|`` in one pass.
+A series is stored as buckets (``list[dict[Monomial, int]]``, index =
+power of q, no zero coefficients), and every series operation in the
+package runs on one in-place kernel over them: :func:`_add_shifted` adds a
+shifted, scaled copy of one series into another, and :func:`_factor_step`
+multiplies or divides by a binomial factor ``(1 - c*mono*q^n)^|e|`` in one
+pass.  The kernel only ever writes into buckets it has just made; a
+series, once built, never changes its buckets.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ class ProductSpecError(AlgebraError):
 
 class FactorizationError(AlgebraError):
     """A series cannot be factorized (constant term is not 1)."""
+
+
+def _json_int(value: object) -> int:
+    """An integer read from JSON: floats, booleans and strings are refused
+    rather than coerced."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,7 @@ class Monomial:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
-        return cls(d.items())
+        return cls((name, _json_int(e)) for name, e in d.items())
 
     @property
     def items(self) -> tuple[tuple[str, int], ...]:
@@ -180,43 +190,19 @@ _MONOMIAL_ONE = Monomial()
 
 
 class Polynomial:
-    """Sparse integer polynomial in the colour variables.
-
-    Stored as a dict Monomial -> nonzero int.  The dict is treated as
-    immutable after construction; operations return new instances.
-    """
+    """A read-only view of one series coefficient: a sparse integer
+    polynomial in the colour variables, stored as a dict Monomial -> nonzero
+    int.  The arithmetic lives on :class:`TruncatedSeries`."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        if terms is None:
-            self._terms: dict[Monomial, int] = {}
-        else:
-            self._terms = {m: c for m, c in terms.items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls({_MONOMIAL_ONE: 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls({_MONOMIAL_ONE: c}) if c else cls()
-
-    @classmethod
-    def term(cls, mono: Monomial, coeff: int = 1) -> "Polynomial":
-        return cls({mono: coeff}) if coeff else cls()
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        return cls({Monomial.var(name): 1})
+        self._terms: dict[Monomial, int] = {
+            m: c for m, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":
-        # internal: caller guarantees no zero coefficients
+        # internal: a view of terms, which hold no zero coefficients
         p = cls.__new__(cls)
         p._terms = terms
         return p
@@ -228,66 +214,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> int:
-        return self._terms.get(_MONOMIAL_ONE, 0)
-
-    def max_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self._terms or not other._terms:
-            return Polynomial.zero()
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial._raw(out)
-
-    def scale(self, coeff: int, mono: Monomial = _MONOMIAL_ONE) -> "Polynomial":
-        """Multiply by a single term coeff * mono."""
-        if coeff == 0:
-            return Polynomial.zero()
-        if mono.is_one():
-            if coeff == 1:
-                return self
-            return Polynomial._raw({m: c * coeff for m, c in self._terms.items()})
-        return Polynomial._raw({m * mono: c * coeff for m, c in self._terms.items()})
-
-    def cap_degree(self, degmax: int | None) -> "Polynomial":
-        if degmax is None:
-            return self
-        kept = {m: c for m, c in self._terms.items() if m.degree <= degmax}
-        if len(kept) == len(self._terms):
-            return self
-        return Polynomial._raw(kept)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
@@ -320,15 +248,12 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: list) -> "Polynomial":
+        """Duplicate monomials are merged and zero sums dropped."""
         out: dict[Monomial, int] = {}
         for coeff, vars_ in data:
             m = Monomial.from_dict(vars_)
-            out[m] = out.get(m, 0) + int(coeff)
+            out[m] = out.get(m, 0) + _json_int(coeff)
         return cls(out)
-
-
-_POLY_ZERO = Polynomial.zero()
-_POLY_ONE = Polynomial.one()
 
 
 # ---------------------------------------------------------------------------
@@ -438,134 +363,91 @@ def _factor_step(f: list[dict], c: int, mono: Monomial, n: int, e: int,
 class TruncatedSeries:
     """A q-series known exactly through order qmax.
 
-    ``coeffs[n]`` is the Polynomial coefficient of q^n.  If ``degmax`` is
-    set, monomials of total colour degree above it have been dropped and the
-    series is only faithful inside that degree window.
+    ``buckets[n]`` maps each monomial of the coefficient of q^n to its
+    nonzero integer coefficient, so ``qmax = len(buckets) - 1``.  The series
+    takes the buckets as they are and never changes them; neither may the
+    caller afterwards.  If ``degmax`` is set, monomials of total colour
+    degree above it have been dropped and the series is only faithful
+    inside that degree window.
     """
 
-    __slots__ = ("qmax", "degmax", "_coeffs")
+    __slots__ = ("qmax", "degmax", "_b")
 
-    def __init__(self, qmax: int, coeffs: Iterable[Polynomial] | None = None,
+    def __init__(self, buckets: list[dict[Monomial, int]],
                  degmax: int | None = None):
-        if qmax < 0:
+        if not buckets:
             raise AlgebraError("qmax must be non-negative")
-        self.qmax = qmax
+        self._b = buckets
+        self.qmax = len(buckets) - 1
         self.degmax = degmax
-        if coeffs is None:
-            self._coeffs = [_POLY_ZERO] * (qmax + 1)
-        else:
-            cs = list(coeffs)
-            if len(cs) != qmax + 1:
-                raise AlgebraError("coefficient list must have qmax+1 entries")
-            self._coeffs = cs
 
     @classmethod
     def one(cls, qmax: int, degmax: int | None = None) -> "TruncatedSeries":
-        s = cls(qmax, degmax=degmax)
-        s._coeffs[0] = _POLY_ONE
-        return s
+        return cls(_one_buckets(qmax), degmax)
 
     @classmethod
     def zero(cls, qmax: int, degmax: int | None = None) -> "TruncatedSeries":
-        return cls(qmax, degmax=degmax)
-
-    @classmethod
-    def from_term(cls, qmax: int, n: int, poly: Polynomial,
-                  degmax: int | None = None) -> "TruncatedSeries":
-        s = cls(qmax, degmax=degmax)
-        if 0 <= n <= qmax:
-            s._coeffs[n] = poly.cap_degree(degmax)
-        return s
-
-    @classmethod
-    def _from_raw(cls, qmax: int, coeffs: list[Polynomial],
-                  degmax: int | None = None) -> "TruncatedSeries":
-        s = cls.__new__(cls)
-        s.qmax = qmax
-        s.degmax = degmax
-        s._coeffs = coeffs
-        return s
-
-    @classmethod
-    def _from_buckets(cls, buckets: list[dict[Monomial, int]],
-                      degmax: int | None = None) -> "TruncatedSeries":
-        """Wrap kernel buckets, which the caller no longer changes."""
-        return cls._from_raw(len(buckets) - 1,
-                             [Polynomial._raw(b) for b in buckets], degmax)
-
-    def _buckets(self) -> list[dict[Monomial, int]]:
-        """The coefficients as kernel buckets, to be read and not changed."""
-        return [c._terms for c in self._coeffs]
+        return cls(_zero_buckets(qmax), degmax)
 
     def coefficient(self, n: int) -> Polynomial:
         if not 0 <= n <= self.qmax:
             raise AlgebraError(f"coefficient of q^{n} outside truncation 0..{self.qmax}")
-        return self._coeffs[n]
+        return Polynomial._raw(self._b[n])
 
-    def coefficients(self) -> list[Polynomial]:
-        return list(self._coeffs)
-
-    def is_one(self) -> bool:
-        return self._coeffs[0] == _POLY_ONE and all(
-            c.is_zero() for c in self._coeffs[1:])
-
-    def _merged_degmax(self, other: "TruncatedSeries") -> int | None:
+    def _merged_degmax(self, other: "TruncatedSeries", op: str) -> int | None:
+        if self.qmax != other.qmax:
+            raise TruncationMismatch(
+                f"cannot {op} series with qmax {self.qmax} and {other.qmax}")
         if self.degmax is None:
             return other.degmax
         if other.degmax is None:
             return self.degmax
         return min(self.degmax, other.degmax)
 
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        dm = self._merged_degmax(other, "add" if sign > 0 else "subtract")
+        out = _zero_buckets(self.qmax)
+        _add_shifted(out, self._b, degmax=dm)
+        _add_shifted(out, other._b, coeff=sign, degmax=dm)
+        return TruncatedSeries(out, dm)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.qmax != other.qmax:
-            raise TruncationMismatch(
-                f"cannot add series with qmax {self.qmax} and {other.qmax}")
-        dm = self._merged_degmax(other)
-        coeffs = [ (a + b).cap_degree(dm) for a, b in zip(self._coeffs, other._coeffs) ]
-        return TruncatedSeries._from_raw(self.qmax, coeffs, dm)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.negate()
-
-    def negate(self) -> "TruncatedSeries":
-        return TruncatedSeries._from_raw(
-            self.qmax, [-c for c in self._coeffs], self.degmax)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.qmax != other.qmax:
-            raise TruncationMismatch(
-                f"cannot multiply series with qmax {self.qmax} and {other.qmax}")
-        dm = self._merged_degmax(other)
+        dm = self._merged_degmax(other, "multiply")
         # one shifted copy of the series with more terms per term of the other
-        small, large = sorted((self, other), key=lambda f: sum(
-            len(c._terms) for c in f._coeffs))
+        small, large = sorted((self._b, other._b),
+                              key=lambda b: sum(map(len, b)))
         out = _zero_buckets(self.qmax)
-        large_buckets = large._buckets()
-        for s, poly in enumerate(small._coeffs):
-            for mono, coeff in poly._terms.items():
-                _add_shifted(out, large_buckets, s, mono, coeff, dm)
-        return TruncatedSeries._from_buckets(out, dm)
+        for s, bucket in enumerate(small):
+            for mono, coeff in bucket.items():
+                _add_shifted(out, large, s, mono, coeff, dm)
+        return TruncatedSeries(out, dm)
 
     def truncate(self, new_qmax: int) -> "TruncatedSeries":
         if new_qmax > self.qmax:
             raise AlgebraError("cannot extend a truncated series")
-        return TruncatedSeries._from_raw(
-            new_qmax, self._coeffs[: new_qmax + 1], self.degmax)
+        return TruncatedSeries(self._b[: new_qmax + 1], self.degmax)
 
     def cap_degree(self, degmax: int | None) -> "TruncatedSeries":
         if degmax is None:
             return self
         dm = degmax if self.degmax is None else min(self.degmax, degmax)
-        return TruncatedSeries._from_raw(
-            self.qmax, [c.cap_degree(dm) for c in self._coeffs], dm)
+        out = _zero_buckets(self.qmax)
+        _add_shifted(out, self._b, degmax=dm)
+        return TruncatedSeries(out, dm)
 
     def specialize(self, assignments: Mapping[str, int]) -> "TruncatedSeries":
         """Set named variables to integer values (typically 1)."""
         images: dict[Monomial, tuple[Monomial, int]] = {}
-        coeffs = []
-        for poly in self._coeffs:
+        buckets = []
+        for bucket in self._b:
             out: dict[Monomial, int] = {}
-            for mono, coeff in poly._terms.items():
+            for mono, coeff in bucket.items():
                 image = images.get(mono)
                 if image is None:
                     factor, kept = 1, []
@@ -584,18 +466,19 @@ class TruncatedSeries:
                     out[key] = v
                 else:
                     out.pop(key, None)
-            coeffs.append(Polynomial._raw(out))
-        return TruncatedSeries._from_raw(self.qmax, coeffs, self.degmax)
+            buckets.append(out)
+        return TruncatedSeries(buckets, self.degmax)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.qmax == other.qmax and self._coeffs == other._coeffs
+        return self._b == other._b
 
     def __str__(self) -> str:
         rows = []
-        for n, c in enumerate(self._coeffs):
-            if not c.is_zero():
+        for n, bucket in enumerate(self._b):
+            if bucket:
+                c = Polynomial._raw(bucket)
                 rows.append(f"({c})*q^{n}" if n else f"({c})")
         return " + ".join(rows) if rows else "0"
 
@@ -606,15 +489,17 @@ class TruncatedSeries:
         return {
             "qmax": self.qmax,
             "degmax": self.degmax,
-            "coefficients": [c.to_json() for c in self._coeffs],
+            "coefficients": [Polynomial._raw(b).to_json() for b in self._b],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        qmax = int(data["qmax"])
+        qmax = _json_int(data["qmax"])
         degmax = data.get("degmax")
-        coeffs = [Polynomial.from_json(c) for c in data["coefficients"]]
-        return cls(qmax, coeffs, None if degmax is None else int(degmax))
+        buckets = [Polynomial.from_json(c)._terms for c in data["coefficients"]]
+        if len(buckets) != qmax + 1:
+            raise AlgebraError("coefficient list must have qmax+1 entries")
+        return cls(buckets, None if degmax is None else _json_int(degmax))
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +557,10 @@ class SubstitutionMap:
     @classmethod
     def from_json(cls, data: dict) -> "SubstitutionMap":
         images = {
-            name: (Monomial.from_dict(img["vars"]), int(img["shift"]))
+            name: (Monomial.from_dict(img["vars"]), _json_int(img["shift"]))
             for name, img in data.get("images", {}).items()
         }
-        return cls(int(data.get("qpower", 1)), images)
+        return cls(_json_int(data.get("qpower", 1)), images)
 
 
 def substitute(f: TruncatedSeries, sub: SubstitutionMap, new_qmax: int,
@@ -702,8 +587,8 @@ def substitute(f: TruncatedSeries, sub: SubstitutionMap, new_qmax: int,
                     "substitution window too small: "
                     f"{m}*{f.qmax} - {neg}*{f.degmax} < {new_qmax}")
         else:
-            for n in range(f.qmax + 1):
-                if f.coefficient(n).max_degree() > n:
+            for n, bucket in enumerate(f._b):
+                if any(mono._degree > n for mono in bucket):
                     raise SubstitutionError(
                         "negative shifts need a degree bound: coefficient of "
                         f"q^{n} has colour degree above {n}; set degmax on the input")
@@ -716,13 +601,10 @@ def substitute(f: TruncatedSeries, sub: SubstitutionMap, new_qmax: int,
             raise SubstitutionError(
                 f"substitution window too small: {m}*{f.qmax} < {new_qmax}")
 
-    out: list[dict[Monomial, int]] = [dict() for _ in range(new_qmax + 1)]
-    for n in range(f.qmax + 1):
-        poly = f.coefficient(n)
-        if poly.is_zero():
-            continue
+    out = _zero_buckets(new_qmax)
+    for n, bucket in enumerate(f._b):
         base = m * n
-        for mono, coeff in poly.terms.items():
+        for mono, coeff in bucket.items():
             new_mono, shift = sub.apply_monomial(mono)
             e = base + shift
             if e < 0:
@@ -732,14 +614,13 @@ def substitute(f: TruncatedSeries, sub: SubstitutionMap, new_qmax: int,
                 continue
             if degmax is not None and new_mono.degree > degmax:
                 continue
-            bucket = out[e]
-            s = bucket.get(new_mono, 0) + coeff
+            dst = out[e]
+            s = dst.get(new_mono, 0) + coeff
             if s:
-                bucket[new_mono] = s
+                dst[new_mono] = s
             else:
-                bucket.pop(new_mono, None)
-    coeffs = [Polynomial._raw(b) for b in out]
-    return TruncatedSeries._from_raw(new_qmax, coeffs, degmax)
+                dst.pop(new_mono, None)
+    return TruncatedSeries(out, degmax)
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +661,11 @@ class ProductFactor:
     def from_json(cls, data: dict) -> "ProductFactor":
         coeff = data["coeff"]
         return cls(
-            sign=int(coeff.get("sign", 1)),
+            sign=_json_int(coeff.get("sign", 1)),
             mono=Monomial.from_dict(coeff.get("vars", {})),
-            start=int(data["start"]),
-            mod=int(data["mod"]),
-            power=int(data["power"]),
+            start=_json_int(data["start"]),
+            mod=_json_int(data["mod"]),
+            power=_json_int(data["power"]),
         )
 
 
@@ -818,7 +699,7 @@ def product_expand(spec: ProductSpec, qmax: int,
         # a start-0 factor occurs once at q^0, then the family continues
         for n in range(fac.start, qmax + 1, fac.mod):
             _factor_step(acc, fac.sign, fac.mono, n, -fac.power, degmax)
-    return TruncatedSeries._from_buckets(acc, degmax)
+    return TruncatedSeries(acc, degmax)
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +717,10 @@ def euler_factorize(f: TruncatedSeries) -> list[tuple[Monomial, int, int]]:
     table canonical.  The table is unique for this factor basis, so the
     emission order only affects bookkeeping, never the exponents.
     """
-    if f.coefficient(0) != _POLY_ONE:
+    if f._b[0] != {_MONOMIAL_ONE: 1}:
         raise FactorizationError("series constant term must be exactly 1")
     table: list[tuple[Monomial, int, int]] = []
-    rem = [dict(b) for b in f._buckets()]
+    rem = [dict(b) for b in f._b]
     for n in range(1, f.qmax + 1):
         # removing one factor leaves the other terms of q^n as they are
         for mono, t in sorted(rem[n].items(), key=lambda mt: mt[0].sort_key()):
@@ -847,11 +728,3 @@ def euler_factorize(f: TruncatedSeries) -> list[tuple[Monomial, int, int]]:
             _factor_step(rem, 1, mono, n, t, f.degmax)
     return table
 
-
-def euler_reexpand(table: Iterable[tuple[Monomial, int, int]], qmax: int,
-                   degmax: int | None = None) -> TruncatedSeries:
-    """Multiply an exponent table back out (round-trip check helper)."""
-    acc = _one_buckets(qmax)
-    for mono, n, e in table:
-        _factor_step(acc, 1, mono, n, -e, degmax)
-    return TruncatedSeries._from_buckets(acc, degmax)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .algebra import Monomial, Polynomial, TruncatedSeries
+from .algebra import Monomial, TruncatedSeries
 from .systems import ColouredPart, ColouredSystem
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -150,8 +150,7 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
         buckets[total][weight] = buckets[total].get(weight, 0) + 1
 
     _walk(sys, qmax, degmax, visit)
-    coeffs = [Polynomial(b) for b in buckets]
-    series = TruncatedSeries(qmax, coeffs, degmax=degmax)
+    series = TruncatedSeries(buckets, degmax)
     if sys.erased_vars:
         series = series.specialize({v: 1 for v in sys.erased_vars})
     return series

@@ -38,6 +38,7 @@ from .algebra import (
     TruncatedSeries,
     _add_shifted,
     _factor_step,
+    _json_int,
     _one_buckets,
     _zero_buckets,
     substitute,
@@ -163,7 +164,7 @@ class RecurrenceState:
     # -- lookups --------------------------------------------------------------
 
     def _finish(self, buckets: list[dict]) -> TruncatedSeries:
-        series = TruncatedSeries._from_buckets(buckets, self.degmax)
+        series = TruncatedSeries(buckets, self.degmax)
         if self._erase_on_lookup:
             series = series.specialize({v: 1 for v in self.sys.erased_vars})
         return series
@@ -291,7 +292,7 @@ class EqTerm:
                     f"denominator 1 - q^({_affine_str(dexp)}) vanishes or is "
                     f"singular at k={k}; restrict the k range")
             _factor_step(out, 1, Monomial.one(), e, -1)
-        return TruncatedSeries._from_buckets(out)
+        return TruncatedSeries(out)
 
     def evaluate(self, state: RecurrenceState, k: int,
                  colour_binding: str | None) -> TruncatedSeries:
@@ -338,14 +339,16 @@ class EqTerm:
         coeff = data.get("coeff", {})
         poly_json = coeff.get("poly", [[1, {}, [0, 0]]])
         poly = tuple(
-            (int(c), Monomial.from_dict(vars_).items, (int(e[0]), int(e[1])))
+            (_json_int(c), Monomial.from_dict(vars_).items,
+             (_json_int(e[0]), _json_int(e[1])))
             for c, vars_, e in poly_json)
-        den = tuple((int(d[0]), int(d[1])) for d in coeff.get("den", ()))
+        den = tuple((_json_int(d[0]), _json_int(d[1]))
+                    for d in coeff.get("den", ()))
         sub = data.get("sub")
         return cls(
             kind=data["kind"],
             colour=data.get("colour"),
-            size=tuple(data["size"]) if "size" in data else None,
+            size=tuple(map(_json_int, data["size"])) if "size" in data else None,
             over=bool(data.get("over", False)),
             poly=poly,
             den=den,
@@ -395,8 +398,8 @@ class EquationSpec:
         return cls(
             name=data["name"],
             system=data["system"],
-            kmin=int(data["kmin"]),
-            kmax_default=int(data.get("kmax_default", data["kmin"])),
+            kmin=_json_int(data["kmin"]),
+            kmax_default=_json_int(data.get("kmax_default", data["kmin"])),
             lhs=tuple(EqTerm.from_json(t) for t in data["lhs"]),
             rhs=tuple(EqTerm.from_json(t) for t in data["rhs"]),
             colours=tuple(data["colours"]) if data.get("colours") else None,

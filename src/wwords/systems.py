@@ -20,7 +20,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Monomial, SubstitutionMap
+from .algebra import Monomial, SubstitutionMap, _json_int
 
 
 class SystemSpecError(ValueError):
@@ -89,10 +89,11 @@ class SizeDomain:
 
     @classmethod
     def from_json(cls, data: dict) -> "SizeDomain":
+        modulus = data.get("modulus")
         return cls(
-            min_size=int(data.get("min", 1)),
-            modulus=data.get("modulus"),
-            residues=frozenset(data.get("residues", ())),
+            min_size=_json_int(data.get("min", 1)),
+            modulus=None if modulus is None else _json_int(modulus),
+            residues=frozenset(map(_json_int, data.get("residues", ()))),
         )
 
 
@@ -172,15 +173,9 @@ class MatrixGap:
             else:
                 colour, res = rk.rsplit("|", 1)
                 new_rk = f"{colour}|{(m * int(res) + offsets[colour]) % new_mod}"
-            new_cols: dict[str, int] = {}
-            for column, g in cols.items():
-                g2 = m * g + offsets[colour] - offsets[column.removesuffix("~")]
-                if g2 < 0:
-                    raise SystemSpecError(
-                        f"dilation makes gap({rk},{column}) negative ({g2}):"
-                        " inconsistent dilation")
-                new_cols[column] = g2
-            new_rows[new_rk] = new_cols
+            new_rows[new_rk] = {
+                column: m * g + offsets[colour] - offsets[column.removesuffix("~")]
+                for column, g in cols.items()}
         return MatrixGap(new_rows, new_mod)
 
     def relabel(self, mapping: Mapping[str, str]) -> "MatrixGap":
@@ -211,11 +206,12 @@ class MatrixGap:
             return _free_over_gap(labels)
         if kind != "matrix":
             raise SystemSpecError(f"unknown gap rule kind {kind!r}")
-        rows = {rk: {c: int(g) for c, g in cols.items()}
+        rows = {rk: {c: _json_int(g) for c, g in cols.items()}
                 for rk, cols in data["rows"].items()}
         if data.get("overline_extra"):  # older files: +1 below an overlined part
             rows = _overlines_one_more(rows)
-        return cls(rows, data.get("class_modulus"))
+        modulus = data.get("class_modulus")
+        return cls(rows, None if modulus is None else _json_int(modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,8 @@ class RankRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "RankRule":
-        return cls(int(data["mult"]), {x: int(b) for x, b in data["offsets"].items()})
+        return cls(_json_int(data["mult"]),
+                   {x: _json_int(b) for x, b in data["offsets"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +478,7 @@ class ColouredSystem:
             colours=colours,
             gap=MatrixGap.from_json(data["gap"], [c.label for c in colours]),
             rank_rule=RankRule.from_json(data["rank"]),
-            forbidden_parts=frozenset((int(s), c)
+            forbidden_parts=frozenset((_json_int(s), c)
                                       for s, c in data.get("forbidden", ())),
             overline_marker=data.get("overline_marker"),
             erased_vars=tuple(data.get("erased", ())),

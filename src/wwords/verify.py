@@ -199,15 +199,15 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
 def _first_mismatch(fa: TruncatedSeries,
                     fb: TruncatedSeries) -> dict | None:
     for n in range(min(fa.qmax, fb.qmax) + 1):
-        pa, pb = fa.coefficient(n), fb.coefficient(n)
-        if pa != pb:
-            diff = pa - pb
-            mono, _ = diff.sorted_terms()[0]
+        ta, tb = fa.coefficient(n).terms, fb.coefficient(n).terms
+        if ta != tb:
+            mono = min((m for m in ta.keys() | tb.keys()
+                        if ta.get(m, 0) != tb.get(m, 0)), key=Monomial.sort_key)
             return {
                 "n": n,
                 "monomial": dict(mono.items),
-                "lhs": str(pa.terms.get(mono, 0)),
-                "rhs": str(pb.terms.get(mono, 0)),
+                "lhs": str(ta.get(mono, 0)),
+                "rhs": str(tb.get(mono, 0)),
             }
     return None
 

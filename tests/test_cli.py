@@ -589,6 +589,36 @@ def test_malformed_input_file_is_usage_error(tmp_path, kind, spoil):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind,spoil", [
+    pytest.param("product", lambda d: d[0]["coeff"].update(vars={"a": 1.5}),
+                 id="product-float-exponent"),
+    pytest.param("product", lambda d: d[0].update(power=1.5),
+                 id="product-float-power"),
+    pytest.param("product", lambda d: d[0].update(start=True),
+                 id="product-bool-start"),
+    pytest.param("series", lambda d: d["coefficients"][1][0].__setitem__(0, 1.5),
+                 id="series-float-coefficient"),
+    pytest.param("series", lambda d: d.update(qmax=4.0), id="series-float-qmax"),
+    pytest.param("system", lambda d: d["rank"].update(mult=1.0),
+                 id="system-float-rank"),
+    pytest.param("system", lambda d: d["gap"]["rows"]["a"].update(a=2.5),
+                 id="system-float-gap"),
+    pytest.param("equation", lambda d: d["rhs"][1].update(size=[1, -1.0]),
+                 id="equation-float-size"),
+])
+def test_non_integer_number_is_usage_error(tmp_path, kind, spoil):
+    """A JSON number that is not an integer is refused, not truncated."""
+    doc, argv = _good_input(kind)
+    spoil(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "wwords.cli",
+                           *argv(str(path))], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout
+    assert "expected an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------

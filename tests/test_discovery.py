@@ -5,7 +5,6 @@ import pytest
 from wwords import (
     DiscoveryError,
     Monomial,
-    Polynomial,
     ProductFactor,
     ProductSpec,
     TruncatedSeries,
@@ -18,6 +17,8 @@ from wwords import (
     search_relations,
 )
 from wwords.algebra import FactorizationError, SubstitutionMap, substitute
+
+from helpers import series
 
 
 def mono(**exps):
@@ -94,8 +95,7 @@ class TestRecognizePeriodicProduct:
 
     def test_non_periodic_head_uses_initial_segment(self):
         prod = product_expand(identity_case("schur-dilated").product, 24)
-        head = TruncatedSeries.one(24) - TruncatedSeries.from_term(
-            24, 1, Polynomial.one())
+        head = series({0: {"1": 1}, 1: {"1": -1}}, 24)
         f = prod * head
         pattern = recognize_periodic_product(f)
         assert (pattern.period, pattern.initial) == (6, 1)

@@ -29,12 +29,12 @@ from wwords import (
     dp_series,
     enumerate_series,
     euler_factorize,
-    euler_reexpand,
     product_expand,
     statistic_substitution,
     substitute,
 )
 
+from helpers import reexpand, series
 from oracles import expand_product, system_order_fault
 
 
@@ -198,13 +198,13 @@ def test_dilation_commutes_with_substitution_on_random_systems():
         try:
             _assert_dilation_commutes(sys, d, qmax, degmax)
         except SystemSpecError:
-            refused += 1  # a shifted gap went negative, or the order broke
+            refused += 1  # construction refused the dilated system
             continue
         checked["all"] += 1
         checked["over"] += sys.overline_marker is not None
         checked["zero"] += sys.has_zero_parts
         checked["modulus"] += d.modulus > 1
-    assert min(checked.values()) >= 20 and refused < 10, (checked, refused)
+    assert min(checked.values()) >= 20 and refused == 0, (checked, refused)
 
 
 @pytest.mark.parametrize("name", [
@@ -266,10 +266,9 @@ def test_specialize_matches_direct_evaluation():
     names = ["a", "b", "c"]
     for _ in range(30):
         qmax = 6
-        coeffs = [Polynomial({
+        f = series({n: {
             Monomial([(v, rng.randrange(3)) for v in names]): rng.randrange(-4, 5)
-            for _ in range(rng.randrange(4))}) for _ in range(qmax + 1)]
-        f = TruncatedSeries(qmax, coeffs)
+            for _ in range(rng.randrange(4))} for n in range(qmax + 1)}, qmax)
         assignments = {v: rng.choice([-2, -1, 0, 2, 3])
                        for v in rng.sample(names, rng.randrange(1, 4))}
         g = f.specialize(assignments)
@@ -288,13 +287,13 @@ def test_large_exponents_expand_and_round_trip_quickly():
                         ProductFactor(-1, b, 2, 3, -450),
                         ProductFactor(1, Monomial.one(), 3, 5, 777)])
     f = product_expand(spec, 16)
-    assert euler_reexpand(euler_factorize(f), 16) == f
+    assert reexpand(euler_factorize(f), 16) == f
     assert product_expand(spec.negate_powers(), 16) * f == TruncatedSeries.one(16)
     # (1 + 7q) carries exponents past 10^9 by q^12
-    g = TruncatedSeries.one(12) + TruncatedSeries.from_term(12, 1, Polynomial.constant(7))
+    g = series({0: {"1": 1}, 1: {"1": 7}}, 12)
     table = euler_factorize(g)
     assert max(abs(e) for _, _, e in table) > 10 ** 9
-    assert euler_reexpand(table, 12) == g
+    assert reexpand(table, 12) == g
     assert time.perf_counter() - started < 1.0
 
 

@@ -12,14 +12,18 @@ from wwords import (
     RankRule,
     SizeDomain,
     SystemSpecError,
-    andrews_colour_data,
-    andrews_colour_label,
     build_preset,
     dilate_system,
+    dp_series,
     enumerate_series,
-    preset_dilation,
     preset_names,
     statistic_substitution,
+    substitute,
+)
+from wwords.systems import (
+    andrews_colour_data,
+    andrews_colour_label,
+    preset_dilation,
 )
 
 
@@ -283,10 +287,18 @@ def test_four_colour_dilated_domains_and_order():
     assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
 
 
-def test_dilation_rejects_negative_gaps():
+def test_dilation_to_negative_gaps_builds_and_commutes():
+    # shifting a by 2 makes gap(b, a) and gap(b, ab) negative; the dilated
+    # order still agrees with them, so construction accepts the system
     base = build_preset("schur-weighted")
-    with pytest.raises(SystemSpecError):
-        dilate_system(base, DilationSpec(1, var_shifts={"a": 2, "b": 0}))
+    d = DilationSpec(1, var_shifts={"a": 2, "b": 0})
+    dilated = dilate_system(base, d)
+    assert dilated.gap.rows["b"] == {"a": -1, "b": 1, "ab": -1}
+    for qmax in (12, 20):
+        expected = substitute(enumerate_series(base, qmax),
+                              statistic_substitution(d), qmax)
+        assert enumerate_series(dilated, qmax) == expected
+        assert dp_series(dilated, qmax) == expected
 
 
 def test_dilation_rejects_negative_sizes():

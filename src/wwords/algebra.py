@@ -62,6 +62,14 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_bool(value: object) -> bool:
+    """A boolean read from JSON: strings and numbers are refused rather
+    than coerced."""
+    if type(value) is not bool:
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # monomials
 # ---------------------------------------------------------------------------

@@ -509,13 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(code: int, doc: dict, lines: list[str], fmt: str) -> int:
+def _emit(doc: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -525,20 +524,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already wrote usage to stderr
         return 0 if exc.code in (0, None) else 2
     try:
-        code, doc, lines = args.handler(args)
-    except CliError as exc:
-        return _fail(parser, args, str(exc))
-    except _PACKAGE_ERRORS as exc:
-        return _fail(parser, args, str(exc))
-    return _emit(code, doc, lines, args.format)
+        try:
+            code, doc, lines = args.handler(args)
+        except (CliError, *_PACKAGE_ERRORS) as exc:
+            code = 2
+            _fail(parser, args, str(exc))
+        else:
+            _emit(doc, lines, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early.  Point it at devnull so
+        # the interpreter's last flush cannot fail again, and keep the code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
-def _fail(parser: argparse.ArgumentParser, args, message: str) -> int:
+def _fail(parser: argparse.ArgumentParser, args, message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
     parser.print_usage(sys.stderr)
     if getattr(args, "format", "text") == "json":
         print(json.dumps({"error": message}, indent=2, sort_keys=True))
-    return 2
 
 
 if __name__ == "__main__":

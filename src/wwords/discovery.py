@@ -18,15 +18,17 @@ not yet understood:
   the substituted series is product-like and by how many distinct Euler
   factor families one period carries.
 
-The search factorizes the unsubstituted series once and, per candidate,
-relabels the factor table on a short early window as a prefilter:
-substituting variables by monomials maps each Euler factor
-``(1 - mono * q^n)`` to another Euler factor at the same ``q`` power, so the
-table of the substituted series is the relabelled table with colliding
-entries summed.  A candidate whose early rows admit no period cannot be a
-periodic product on the whole window either, so only the survivors are
-substituted and handed to :func:`recognize_periodic_product`, which alone
-decides whether a series is a product and what its pattern is.
+The search factorizes the unsubstituted series once.  Substituting
+variables by monomials maps each Euler factor ``(1 - mono * q^n)`` to a
+factor at the same ``q`` power, so the substituted table's rows are the
+relabelled rows with colliding entries summed.  Two invariants of that
+merge filter the candidates once per search instead of relabelling per
+candidate: a row's exponent total does not depend on the candidate, which
+decides the (period, initial) pairs alive on an early window, and its first
+moment in one primary coordinate is affine in that coordinate of the
+images, which decides each live pair per coordinate.  Only the survivors
+are substituted and handed to :func:`recognize_periodic_product`, which
+alone decides whether a series is a product and what its pattern is.
 """
 
 from __future__ import annotations
@@ -210,56 +212,78 @@ class RelationCandidate:
         return data
 
 
-def _decompose_table(table, free_index: Mapping[str, int],
-                     primary_index: Mapping[str, int], window: int):
-    """Split each table entry up to ``q^window`` into static and
-    substitution-dependent parts.
+def _early_window(qmax: int) -> int:
+    """Smallest window on which no (period, initial) pair is vacuous: the
+    loosest pair (m, m), m = qmax // 3, still gets checked at degree 2m + 1."""
+    return min(qmax, 2 * (qmax // 3) + 1)
 
-    Returns tuples ``(n, other, base, freeks, e)`` where ``other`` holds the
-    variables untouched by the search, ``base`` is the exponent vector the
-    monomial already carries on the primary variables, and ``freeks`` lists
-    ``(free-variable position, exponent)`` pairs to be relabelled.
+
+def _survivors(table, free: Sequence[str], prims: Sequence[str], max_exponent: int,
+               qmax: int) -> set[tuple[tuple[int, ...], ...]] | None:
+    """The substitutions whose early Euler-factor rows may be periodic.
+
+    A substitution is a tuple holding, per free variable, its image's
+    exponent vector on ``prims``.  Substitution merges the entries of a row
+    that collide, so per ``other`` key (the variables neither free nor
+    primary) two invariants of the row follow:
+
+    * its exponent total is the same for every substitution;
+    * its first moment in ``prims[j]``, the sum of each exponent times the
+      entry's power of ``prims[j]`` once substituted, is
+      ``const_j + sum_i lin_i * c_i``: affine in the ``j``-th coordinates
+      ``c`` of the images alone.
+
+    ``rows[n] == rows[n + m]`` needs both to agree, so a (period, initial)
+    pair whose totals differ is dead, and on a live pair each coordinate is
+    decided over the ``(max_exponent + 1) ** len(free)`` coordinate
+    vectors.  Both sides are compared as differences, so an ``other`` key
+    whose entries cancel counts as absent, as it does in a substituted row.
+    A substitution is kept when, for some live pair, its coordinate vectors
+    pass on every coordinate.  ``None`` means the window is too short for
+    any pair, and then every substitution must be recognized.
     """
-    nprims = len(primary_index)
-    out = []
+    pairs = _pairs(qmax)
+    if not pairs:
+        return None
+    window = _early_window(qmax)
+    nprims, nfree = len(prims), len(free)
+    # a moment vector holds const_0 .. const_{nprims-1}, then lin_0 .. lin_{nfree-1}
+    index = {v: j for j, v in enumerate([*prims, *free])}
+    totals: list[dict] = [dict() for _ in range(window + 1)]
+    moments: list[dict] = [dict() for _ in range(window + 1)]
     for mono, n, e in table:
         if n > window:
             continue
-        base = [0] * nprims
-        freeks = []
-        other = []
+        other = tuple((v, k) for v, k in mono.items if v not in index)
+        totals[n][other] = totals[n].get(other, 0) + e
+        moment = moments[n].setdefault(other, [0] * (nprims + nfree))
         for v, k in mono.items:
-            if v in free_index:
-                freeks.append((free_index[v], k))
-            elif v in primary_index:
-                base[primary_index[v]] = k
-            else:
-                other.append((v, k))
-        out.append((n, tuple(other), tuple(base), tuple(freeks), e))
-    return out
+            if v in index:
+                moment[index[v]] += e * k
+    totals = [{o: t for o, t in row.items() if t} for row in totals]
 
-
-def _relabel_rows(entries, images: Sequence[Sequence[int]], qmax: int) -> list[dict]:
-    """Per-degree exponent rows after substituting free variables.
-
-    Row keys are ``(other, *primary exponents)`` tuples; entries that collide
-    after substitution have their exponents summed, and zero sums drop out.
-    """
-    rows: list[dict] = [dict() for _ in range(qmax + 1)]
-    for n, other, base, freeks, e in entries:
-        acc = list(base)
-        for i, k in freeks:
-            vec = images[i]
-            for j, vj in enumerate(vec):
-                acc[j] += k * vj
-        key = (other, *acc)
-        row = rows[n]
-        merged = row.get(key, 0) + e
-        if merged:
-            row[key] = merged
-        else:
-            del row[key]
-    return rows
+    coords = list(itertools.product(range(max_exponent + 1), repeat=nfree))
+    zero = [0] * (nprims + nfree)
+    keep = set()
+    for m, s in _periods(totals, pairs, window):
+        conditions: set[tuple[int, ...]] = set()
+        for n in range(s + 1, window - m + 1):
+            lo, hi = moments[n], moments[n + m]
+            for other in lo.keys() | hi.keys():
+                d = tuple(x - y for x, y in zip(lo.get(other, zero),
+                                                hi.get(other, zero)))
+                if any(d):
+                    conditions.add(d)
+        diffs = list(conditions)
+        passing: list[list] = [[] for _ in range(nprims)]
+        for c in coords:
+            dots = [sum(a * x for a, x in zip(d[nprims:], c)) for d in diffs]
+            for j in range(nprims):
+                if all(d[j] + dot == 0 for d, dot in zip(diffs, dots)):
+                    passing[j].append(c)
+        # one coordinate vector per primary, transposed to one image per free
+        keep.update(tuple(zip(*cs)) for cs in itertools.product(*passing))
+    return keep
 
 
 def search_relations(system: ColouredSystem,
@@ -272,8 +296,8 @@ def search_relations(system: ColouredSystem,
     each free variable independently ranges over monomials
     ``prod(primary ** e)`` with ``0 <= e <= max_exponent``.  Primaries are
     never substituted.  The system's series is enumerated once to order
-    ``qmax``.  Candidates whose relabelled Euler factors admit a period on
-    an early window are substituted and passed to
+    ``qmax``.  Candidates that pass the invariant filter of its Euler
+    factors on an early window are substituted and passed to
     :func:`recognize_periodic_product`; product-like candidates carry the
     :class:`PeriodicPattern` it returns.
 
@@ -299,13 +323,7 @@ def search_relations(system: ColouredSystem,
             "reduce max_exponent or the number of free colours")
 
     base = enumerate_series(system, qmax)
-    pairs = _pairs(qmax)
-    # Smallest window on which no (period, initial) pair is vacuous: the
-    # loosest pair (m, m), m = qmax // 3, still gets checked at degree 2m + 1.
-    window = min(qmax, 2 * (qmax // 3) + 1)
-    free_index = {v: i for i, v in enumerate(free)}
-    primary_index = {p: i for i, p in enumerate(prims)}
-    early = _decompose_table(euler_factorize(base), free_index, primary_index, window)
+    keep = _survivors(euler_factorize(base), free, prims, max_exponent, qmax)
 
     vecs = list(itertools.product(range(max_exponent + 1), repeat=len(prims)))
     image_monos = {vec: Monomial.from_dict({p: e for p, e in zip(prims, vec) if e})
@@ -318,9 +336,7 @@ def search_relations(system: ColouredSystem,
         for images in itertools.product(vecs, repeat=len(free)):
             sub = tuple(choices[i][vec] for i, vec in enumerate(images))
             pattern = None
-            # with no pair to test (qmax < 3) the recognizer decides alone
-            if not pairs or _periods(_relabel_rows(early, images, window),
-                                     pairs, window):
+            if keep is None or images in keep:
                 mapping = SubstitutionMap(1, {v: (mono, 0) for v, mono in sub})
                 pattern = recognize_periodic_product(
                     substitute(base, mapping, qmax, base.degmax))

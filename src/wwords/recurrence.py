@@ -38,6 +38,7 @@ from .algebra import (
     TruncatedSeries,
     _add_shifted,
     _factor_step,
+    _json_bool,
     _json_int,
     _one_buckets,
     _zero_buckets,
@@ -349,7 +350,7 @@ class EqTerm:
             kind=data["kind"],
             colour=data.get("colour"),
             size=tuple(map(_json_int, data["size"])) if "size" in data else None,
-            over=bool(data.get("over", False)),
+            over=_json_bool(data.get("over", False)),
             poly=poly,
             den=den,
             sub=SubstitutionMap.from_json(sub) if sub else None,

@@ -20,7 +20,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Monomial, SubstitutionMap, _json_int
+from .algebra import Monomial, SubstitutionMap, _json_bool, _json_int
 
 
 class SystemSpecError(ValueError):
@@ -120,7 +120,7 @@ class ColourDef:
             label=data["label"],
             weight=Monomial.from_dict(data.get("weight", {})),
             domain=SizeDomain.from_json(data.get("domain", {})),
-            overline_allowed=bool(data.get("overline", False)),
+            overline_allowed=_json_bool(data.get("overline", False)),
         )
 
 

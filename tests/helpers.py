@@ -5,17 +5,27 @@ empty monomial; a Monomial object is accepted too.  A coefficient is a
 dict from monomials to integers, and a series is a dict from powers of q
 to coefficients: ``series({0: {"1": 1}, 2: {"a": 1, "a*b": -2}}, 4)`` is
 1 + (a - 2ab) q^2 through q^4.
+
+``random_system`` generates the small matrix-gap systems that the
+randomized tests run over.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Mapping
 
-from wwords.algebra import (
+from wwords import (
+    ColourDef,
+    ColouredSystem,
+    MatrixGap,
     Monomial,
     Polynomial,
     ProductFactor,
     ProductSpec,
+    RankRule,
+    SizeDomain,
+    SystemSpecError,
     TruncatedSeries,
     product_expand,
 )
@@ -67,3 +77,39 @@ def reexpand(table: Iterable[tuple[Monomial, int, int]], qmax: int,
     factor (1 - m*q^n)^(-e), a family whose modulus exceeds qmax."""
     return product_expand(ProductSpec(
         ProductFactor(1, m, n, qmax + 1, e) for m, n, e in table), qmax, degmax)
+
+
+def random_system(rng: random.Random, index: int) -> ColouredSystem | None:
+    """A small matrix-gap system, or None when construction refuses it."""
+    labels = ["c0", "c1", "c2"][: rng.randrange(1, 4)]
+    zero_parts = rng.random() < 0.3
+    overlines = rng.random() < 0.2
+    colours = []
+    for label in labels:
+        weight = Monomial([("a", rng.randrange(2)), ("b", rng.randrange(2))])
+        if zero_parts and weight.degree == 0:
+            weight = Monomial.var(rng.choice("ab"))  # size-0 parts need a colour
+        if rng.random() < 0.3:
+            modulus = rng.randrange(2, 4)
+            domain = SizeDomain(0 if zero_parts else 1, modulus,
+                                frozenset({rng.randrange(modulus)}))
+        else:
+            domain = SizeDomain(0 if zero_parts else rng.randrange(1, 3))
+        colours.append(ColourDef(label, weight, domain,
+                                 overline_allowed=overlines))
+    rows = {upper: {lower: rng.randrange(4) for lower in labels}
+            for upper in labels}
+    if overlines:  # an overlined lower part needs one more than a plain one
+        rows = {upper: {**cols, **{f"{c}~": g + 1 for c, g in cols.items()}}
+                for upper, cols in rows.items()}
+    gap = MatrixGap(rows)
+    order = rng.sample(range(len(labels)), len(labels))
+    try:
+        return ColouredSystem(
+            name=f"random-{index}", colours=tuple(colours), gap=gap,
+            rank_rule=RankRule(len(labels), dict(zip(labels, order))),
+            overline_marker="t" if overlines else None,
+            erased_vars=("b",) if rng.random() < 0.3 else (),
+        )
+    except SystemSpecError:
+        return None

@@ -305,3 +305,40 @@ def system_order_fault(data: dict) -> str | None:
             if upper[0] - lower[0] >= g and key(upper) < key(lower):
                 return "gap rule and order disagree"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Euler-factor rows relabelled by a substitution
+# ---------------------------------------------------------------------------
+
+
+def relabel_rows(table, images: dict[str, Key], window: int) -> list[dict[Key, int]]:
+    """Per-degree exponent rows of an Euler table after substitution.
+
+    ``table`` holds ``(monomial key, n, e)`` triples meaning the factor
+    ``(1 - x * q^n)^(-e)``; each variable in ``images`` is replaced by its
+    image key.  A factor stays at its q power, so the substituted table's
+    row n is the relabelled row with colliding entries summed and zero sums
+    dropped.  Rows above ``window`` are left out.
+    """
+    rows: list[dict[Key, int]] = [{} for _ in range(window + 1)]
+    for items, n, e in table:
+        if n > window:
+            continue
+        key = ONE
+        for v, k in items:
+            key = key_mul(key, key_pow(images[v], k) if v in images else ((v, k),))
+        merged = rows[n].get(key, 0) + e
+        if merged:
+            rows[n][key] = merged
+        else:
+            rows[n].pop(key, None)
+    return rows
+
+
+def row_periods(rows: list[dict[Key, int]], qmax: int,
+                upto: int) -> list[tuple[int, int]]:
+    """The (period m, initial s) pairs, 1 <= m <= qmax // 3 and 0 <= s <= m,
+    with rows[n] == rows[n + m] on degrees s + 1 .. upto."""
+    return [(m, s) for m in range(1, qmax // 3 + 1) for s in range(m + 1)
+            if all(rows[n] == rows[n + m] for n in range(s + 1, upto - m + 1))]

@@ -619,6 +619,27 @@ def test_non_integer_number_is_usage_error(tmp_path, kind, spoil):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("kind,spoil", [
+    pytest.param("system", lambda d: d["colours"][0].update(overline="false"),
+                 id="system-string-overline"),
+    pytest.param("system", lambda d: d["colours"][0].update(overline=1),
+                 id="system-number-overline"),
+    pytest.param("equation", lambda d: d["rhs"][1].update(over="false"),
+                 id="equation-string-over"),
+])
+def test_non_boolean_flag_is_usage_error(tmp_path, kind, spoil):
+    """A JSON flag that is not true or false is refused, not coerced."""
+    doc, argv = _good_input(kind)
+    spoil(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "wwords.cli",
+                           *argv(str(path))], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout
+    assert "expected a boolean" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -635,6 +656,20 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "schur-weighted" in proc.stdout
+
+    @pytest.mark.parametrize("fmt, qmax", [("json", "40"), ("text", "100")])
+    def test_reader_closing_the_pipe_early_keeps_the_exit_code(self, fmt, qmax):
+        # each prints over 100 kB, more than a pipe holds, so the write is
+        # still going when the reader stops
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wwords.cli", "--format", fmt, "expand",
+             "--product", "theorem-2", "--qmax", qmax],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0, err
+        assert err == ""
 
     def test_console_script_installed(self):
         exe = shutil.which("wwords")

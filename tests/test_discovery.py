@@ -1,5 +1,8 @@
 """Tests for periodic-product recognition and colour-relation search."""
 
+import itertools
+import random
+
 import pytest
 
 from wwords import (
@@ -9,7 +12,9 @@ from wwords import (
     ProductSpec,
     TruncatedSeries,
     build_preset,
+    dp_series,
     enumerate_series,
+    euler_factorize,
     identity_case,
     product_expand,
     recognize_periodic_product,
@@ -17,8 +22,10 @@ from wwords import (
     search_relations,
 )
 from wwords.algebra import FactorizationError, SubstitutionMap, substitute
+from wwords.discovery import _early_window, _survivors
 
-from helpers import series
+from helpers import random_system, series
+from oracles import key_of, relabel_rows, row_periods
 
 
 def mono(**exps):
@@ -278,3 +285,124 @@ def test_every_candidate_pattern_is_the_recognizers(system, qmax):
         expected = recognize_periodic_product(substitute(base, sub, qmax))
         got = cand.pattern
         assert (got and got.to_json()) == (expected and expected.to_json())
+
+
+# ---------------------------------------------------------------------------
+# the invariant filter keeps every substitution that relabelling keeps
+# ---------------------------------------------------------------------------
+
+
+def _relabel_kept(table, free, prims, max_exponent, qmax):
+    """The substitutions whose relabelled early rows admit a period."""
+    window = _early_window(qmax)
+    plain = [(m.items, n, e) for m, n, e in table]
+    vecs = list(itertools.product(range(max_exponent + 1), repeat=len(prims)))
+    kept = set()
+    for images in itertools.product(vecs, repeat=len(free)):
+        sub = {v: key_of(dict(zip(prims, vec))) for v, vec in zip(free, images)}
+        if row_periods(relabel_rows(plain, sub, window), qmax, window):
+            kept.add(images)
+    return kept
+
+
+def test_filter_keeps_what_relabelling_keeps_on_random_systems():
+    rng = random.Random(7321)
+    checked = nonempty = 0
+    for index in range(120):
+        system = random_system(rng, index)
+        if system is None or system.has_zero_parts:
+            continue  # the search needs a unit constant term
+        pool = system.variables() + ["z"]  # z: a primary the system lacks
+        prims = rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))
+        free = sorted(set(system.variables()) - set(prims))
+        max_exponent = rng.randrange(3)
+        qmax = rng.randrange(6, 25)
+        table = euler_factorize(dp_series(system, qmax))
+        kept = _relabel_kept(table, free, prims, max_exponent, qmax)
+        assert kept <= _survivors(table, free, prims, max_exponent, qmax), \
+            (system.to_json(), prims, max_exponent, qmax)
+        checked += 1
+        nonempty += bool(kept)
+    assert checked >= 50 and nonempty >= 20, (checked, nonempty)
+
+
+def _planted_table(rng, prims, free, max_exponent, qmax):
+    """A random Euler table that one random substitution, returned with it,
+    relabels into rows repeating with a random (period, initial) pair.
+
+    Each row entry is written back as one to three factors whose free
+    variables carry part of its primary exponents, and some rows gain a
+    pair of factors that cancel once relabelled, under a key of their own
+    or under one that is already there.
+    """
+    window = _early_window(qmax)
+    m = rng.randrange(1, qmax // 3 + 1)
+    s = rng.randrange(m + 1)
+    images = tuple(tuple(rng.randrange(max_exponent + 1) for _ in prims)
+                   for _ in free)
+
+    def preimage(y, acc):
+        left = list(acc)
+        exps = {"y": y}
+        for i in rng.sample(range(len(free)), len(free)):
+            most = min((left[j] // c for j, c in enumerate(images[i]) if c),
+                       default=1)
+            k = rng.randrange(most + 1)
+            exps[free[i]] = k
+            left = [x - k * c for x, c in zip(left, images[i])]
+        exps.update(zip(prims, left))
+        return Monomial.from_dict({v: k for v, k in exps.items() if k})
+
+    rows = [{} for _ in range(window + 1)]
+    table = []
+    for n in range(1, window + 1):
+        if n > s + m:
+            rows[n] = rows[n - m]
+        else:
+            rows[n] = {(rng.randrange(2), tuple(rng.randrange(3) for _ in prims)):
+                       rng.choice((-2, -1, 1, 2)) for _ in range(rng.randrange(4))}
+        for (y, acc), e in rows[n].items():
+            part = rng.choice((0, e))
+            table += [(preimage(y, acc), n, part), (preimage(y, acc), n, e - part)]
+        if rng.random() < 0.5:
+            key = (rng.choice((0, 1, 2)), tuple(rng.randrange(3) for _ in prims))
+            e = rng.choice((-1, 1))
+            table += [(preimage(*key), n, e), (preimage(*key), n, -e)]
+    return [(mono, n, e) for mono, n, e in table if e], images
+
+
+def test_filter_keeps_what_relabelling_keeps_on_planted_tables():
+    rng = random.Random(6007)
+    for _ in range(150):
+        prims = rng.sample(["a", "b", "c"], rng.randrange(1, 3))
+        free = ["x0", "x1", "x2"][:rng.randrange(4 - len(prims))]
+        max_exponent = rng.randrange(3)
+        qmax = rng.randrange(6, 25)
+        table, images = _planted_table(rng, prims, free, max_exponent, qmax)
+        kept = _relabel_kept(table, free, prims, max_exponent, qmax)
+        assert images in kept
+        assert kept <= _survivors(table, free, prims, max_exponent, qmax), \
+            (table, prims, free, max_exponent, qmax)
+
+
+def test_filter_drops_an_other_key_whose_entries_cancel():
+    # at q^7, the last degree every (period, initial) pair of q9 compares,
+    # x*z and a*z cancel once x -> a, leaving the z key out of that row; the
+    # y factors repeat at every degree
+    table = [(mono(y=1), n, 1) for n in range(1, 10)]
+    table += [(mono(x=1, z=1), 7, 1), (mono(a=1, z=1), 7, -1)]
+    kept = _relabel_kept(table, ["x"], ["a"], 2, 9)
+    assert kept == {((1,),)}
+    assert _survivors(table, ["x"], ["a"], 2, 9) == kept
+
+
+@pytest.mark.parametrize("system, qmax, survivors", [
+    (build_preset("schur-dilated-mod3"), 18, 1),
+    (_pinned_siladic(), 24, 1),
+], ids=["schur-dilated-mod3", "siladic-pinned"])
+def test_filter_keeps_as_few_as_relabelling(system, qmax, survivors):
+    free = sorted(set(system.variables()) - {"a", "b"})
+    table = euler_factorize(enumerate_series(system, qmax))
+    kept = _relabel_kept(table, free, ["a", "b"], 2, qmax)
+    assert len(kept) == survivors
+    assert _survivors(table, free, ["a", "b"], 2, qmax) == kept

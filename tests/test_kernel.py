@@ -10,18 +10,14 @@ from collections import Counter
 import pytest
 
 from wwords import (
-    ColourDef,
     ColouredPart,
     ColouredSystem,
     DilationSpec,
-    MatrixGap,
     Monomial,
     Polynomial,
     ProductFactor,
     ProductSpec,
-    RankRule,
     RecurrenceState,
-    SizeDomain,
     SystemSpecError,
     TruncatedSeries,
     build_preset,
@@ -34,51 +30,15 @@ from wwords import (
     substitute,
 )
 
-from helpers import reexpand, series
+from helpers import random_system, reexpand, series
 from oracles import expand_product, system_order_fault
-
-
-def _random_system(rng: random.Random, index: int) -> ColouredSystem | None:
-    """A small matrix-gap system, or None when construction refuses it."""
-    labels = ["c0", "c1", "c2"][: rng.randrange(1, 4)]
-    zero_parts = rng.random() < 0.3
-    overlines = rng.random() < 0.2
-    colours = []
-    for label in labels:
-        weight = Monomial([("a", rng.randrange(2)), ("b", rng.randrange(2))])
-        if zero_parts and weight.degree == 0:
-            weight = Monomial.var(rng.choice("ab"))  # size-0 parts need a colour
-        if rng.random() < 0.3:
-            modulus = rng.randrange(2, 4)
-            domain = SizeDomain(0 if zero_parts else 1, modulus,
-                                frozenset({rng.randrange(modulus)}))
-        else:
-            domain = SizeDomain(0 if zero_parts else rng.randrange(1, 3))
-        colours.append(ColourDef(label, weight, domain,
-                                 overline_allowed=overlines))
-    rows = {upper: {lower: rng.randrange(4) for lower in labels}
-            for upper in labels}
-    if overlines:  # an overlined lower part needs one more than a plain one
-        rows = {upper: {**cols, **{f"{c}~": g + 1 for c, g in cols.items()}}
-                for upper, cols in rows.items()}
-    gap = MatrixGap(rows)
-    order = rng.sample(range(len(labels)), len(labels))
-    try:
-        return ColouredSystem(
-            name=f"random-{index}", colours=tuple(colours), gap=gap,
-            rank_rule=RankRule(len(labels), dict(zip(labels, order))),
-            overline_marker="t" if overlines else None,
-            erased_vars=("b",) if rng.random() < 0.3 else (),
-        )
-    except SystemSpecError:
-        return None
 
 
 def _random_cases(seed: int):
     """(system, qmax, degmax) for the generated systems construction accepts."""
     rng = random.Random(seed)
     for attempt in range(150):
-        sys = _random_system(rng, attempt)
+        sys = random_system(rng, attempt)
         if sys is None:
             continue
         qmax = rng.randrange(6, 11)

@@ -18,6 +18,18 @@ They are interned: there is one instance per value, so the dict lookups
 of every kernel compare and hash them by identity.  Their hash is not
 stable across processes, and no output depends on it.
 
+Each monomial is interned by its packed exponent code: one int with a
+``FIELD_BITS``-wide field per variable name, the field given to a name
+the first time it is seen.  Every exponent is below ``EXPONENT_BOUND`` =
+2^(FIELD_BITS - 1), so a field of the sum of two codes is below
+2^FIELD_BITS and cannot carry into the next one: the sum is the code of
+the product, and a product is one int addition and one lookup in the
+intern table, with no cache of products beside it.  A code the table does
+not hold goes through the constructor, which refuses an exponent at the
+bound with :class:`AlgebraError`.  With weights of exponent 1, as in every
+registered system, reaching the bound takes more than 2^31 parts, far past
+any truncation order the engines can run.
+
 A series is stored as buckets (``list[dict[Monomial, int]]``, index =
 power of q, no zero coefficients), and every series operation in the
 package runs on one in-place kernel over them: :func:`_add_shifted` adds a
@@ -62,6 +74,13 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_str(value: object) -> str:
+    """A string read from JSON: numbers, lists and null are refused."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _json_bool(value: object) -> bool:
     """A boolean read from JSON: strings and numbers are refused rather
     than coerced."""
@@ -74,11 +93,14 @@ def _json_bool(value: object) -> bool:
 # monomials
 # ---------------------------------------------------------------------------
 
-#: the one instance of each monomial, by its sorted item tuple
-_INTERNED: dict[tuple[tuple[str, int], ...], "Monomial"] = {}
-#: products already formed; a cache, emptied when it reaches the limit
-_PRODUCTS: dict[tuple["Monomial", "Monomial"], "Monomial"] = {}
-_PRODUCTS_LIMIT = 1 << 12
+#: width of one variable's field in a packed exponent code
+FIELD_BITS = 32
+#: every exponent is below this bound, so adding two codes cannot carry
+EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
+#: the bit offset of each variable's field, assigned when the name is first seen
+_FIELDS: dict[str, int] = {}
+#: the one instance of each monomial, by its packed exponent code
+_INTERNED: dict[int, "Monomial"] = {}
 
 
 class Monomial:
@@ -90,9 +112,18 @@ class Monomial:
     object and compare and hash by identity.  A hash is therefore stable
     within a process but not across processes; pickling and copying keep
     one instance per value.
+
+    Each instance also carries its packed exponent code, an int holding
+    each exponent in its variable's ``FIELD_BITS``-wide field, and is
+    interned by it.  The constructor refuses an exponent at or above
+    ``EXPONENT_BOUND``, so each field of the sum of two codes stays below
+    ``2**FIELD_BITS`` and no carry reaches the next field: the sum is the
+    product's code, and the product of two interned monomials is one int
+    addition and one lookup.  A code that names no interned monomial goes
+    through the constructor, which checks it.
     """
 
-    __slots__ = ("_items", "_degree")
+    __slots__ = ("_items", "_code", "_degree")
 
     def __new__(cls, items: Iterable[tuple[str, int]] = ()) -> "Monomial":
         merged: dict[str, int] = {}
@@ -102,11 +133,20 @@ class Monomial:
             if exp < 0:
                 raise AlgebraError(f"negative exponent for variable {name!r}")
             merged[name] = merged.get(name, 0) + exp
-        key = tuple(sorted(merged.items()))
-        mono = _INTERNED.get(key)
+        code = 0
+        for name, exp in merged.items():
+            if exp >= EXPONENT_BOUND:
+                raise AlgebraError(
+                    f"exponent {exp} of variable {name!r} is not below 2^{FIELD_BITS - 1}")
+            offset = _FIELDS.get(name)
+            if offset is None:
+                offset = _FIELDS[name] = len(_FIELDS) * FIELD_BITS
+            code += exp << offset
+        mono = _INTERNED.get(code)
         if mono is None:
-            mono = _INTERNED[key] = object.__new__(cls)
-            mono._items = key
+            mono = _INTERNED[code] = object.__new__(cls)
+            mono._items = tuple(sorted(merged.items()))
+            mono._code = code
             mono._degree = sum(merged.values())
         return mono
 
@@ -152,22 +192,17 @@ class Monomial:
         return not self._items
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not self._items:
-            return other
-        if not other._items:
-            return self
-        product = _PRODUCTS.get((self, other))
-        if product is None:
-            if len(_PRODUCTS) >= _PRODUCTS_LIMIT:
-                _PRODUCTS.clear()
-            product = _PRODUCTS[self, other] = Monomial(self._items + other._items)
-        return product
+        return (_INTERNED.get(self._code + other._code)
+                or Monomial(self._items + other._items))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
             raise AlgebraError("monomials cannot be raised to negative powers")
-        if k == 0 or not self._items:
-            return _MONOMIAL_ONE
+        # below the bound in total, each field of code * k is too
+        if self._degree * k < EXPONENT_BOUND:
+            mono = _INTERNED.get(self._code * k)
+            if mono is not None:
+                return mono
         return Monomial((n, e * k) for n, e in self._items)
 
     def sort_key(self) -> tuple:
@@ -285,10 +320,11 @@ def _add_bucket(dst: dict, src: dict, mono: Monomial, coeff: int,
                 limit: int | None) -> None:
     """dst += coeff * mono * src over the monomials of src with degree at
     most limit (None: all of them)."""
+    code, interned = mono._code, _INTERNED
     for m, c in src.items():
         if limit is not None and m._degree > limit:
             continue
-        m2 = m * mono
+        m2 = interned.get(m._code + code) or Monomial(m._items + mono._items)
         v = dst.get(m2, 0) + c * coeff
         if v:
             dst[m2] = v
@@ -537,20 +573,27 @@ class SubstitutionMap:
         return max((-s for _, s in self.images.values() if s < 0), default=0)
 
     def apply_monomial(self, mono: Monomial) -> tuple[Monomial, int]:
-        """Image of a monomial and the total q-shift it picks up."""
-        out = _MONOMIAL_ONE
-        shift = 0
-        plain: list[tuple[str, int]] = []
-        for name, exp in mono.items:
-            img = self.images.get(name)
-            if img is None:
-                plain.append((name, exp))
-            else:
+        """Image of a monomial and the total q-shift it picks up.
+
+        The image's code is mono's, with each mapped variable's field
+        traded for its image's code as many times over; below the exponent
+        bound in total, no field of it can have carried.
+        """
+        images = self.images
+        code, degree, shift = mono._code, mono._degree, 0
+        for name, exp in mono._items:
+            img = images.get(name)
+            if img is not None:
                 m, s = img
-                out = out * (m ** exp)
+                code += (m._code - (1 << _FIELDS[name])) * exp
+                degree += (m._degree - 1) * exp
                 shift += s * exp
-        if plain:
-            out = out * Monomial(plain)
+        out = _INTERNED.get(code) if degree < EXPONENT_BOUND else None
+        if out is None:
+            out = Monomial(
+                (n, e * exp) for name, exp in mono._items
+                for n, e in (images[name][0]._items if name in images
+                             else ((name, 1),)))
         return out, shift
 
     def to_json(self) -> dict:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     Monomial,
@@ -179,13 +179,15 @@ def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationCandidate:
     """One substitution of free colour variables, with its recognition result.
 
     ``substitution`` maps each free variable to a monomial in the primary
     variables (the empty monomial erases the colour).  ``pattern`` is the
     recognized periodic product of the substituted series when one exists.
+    A search makes one per substitution, tens of thousands of them, so an
+    instance holds its fields in slots and carries no ``__dict__``.
     """
 
     substitution: tuple[tuple[str, Monomial], ...]
@@ -330,20 +332,19 @@ def search_relations(system: ColouredSystem,
                    for vec in vecs}
     # one (variable, image) pair per free variable and image, shared by
     # every candidate's substitution
-    choices = [{vec: (v, image_monos[vec]) for vec in vecs} for v in free]
-
-    def candidates() -> Iterator[RelationCandidate]:
-        for images in itertools.product(vecs, repeat=len(free)):
-            sub = tuple(choices[i][vec] for i, vec in enumerate(images))
-            pattern = None
-            if keep is None or images in keep:
-                mapping = SubstitutionMap(1, {v: (mono, 0) for v, mono in sub})
-                pattern = recognize_periodic_product(
-                    substitute(base, mapping, qmax, base.degmax))
-            yield RelationCandidate(sub, pattern is not None, pattern)
-
-    found = list(candidates())
+    choices = [[(v, image_monos[vec]) for vec in vecs] for v in free]
+    found: list[RelationCandidate] = []
+    rest: list[RelationCandidate] = []
+    for images, sub in zip(itertools.product(vecs, repeat=len(free)),
+                           itertools.product(*choices)):
+        if keep is None or images in keep:
+            mapping = SubstitutionMap(1, {v: (mono, 0) for v, mono in sub})
+            pattern = recognize_periodic_product(
+                substitute(base, mapping, qmax, base.degmax))
+            if pattern is not None:
+                found.append(RelationCandidate(sub, True, pattern))
+                continue
+        rest.append(RelationCandidate(sub, False, None))
     # Stable sort keeps enumeration order among equal scores.
-    found.sort(key=lambda c: (not c.product_like,
-                              c.factors_per_period if c.product_like else 0))
-    return found
+    found.sort(key=lambda c: c.pattern.factors_per_period)
+    return found + rest

@@ -40,6 +40,7 @@ from .algebra import (
     _factor_step,
     _json_bool,
     _json_int,
+    _json_str,
     _one_buckets,
     _zero_buckets,
     substitute,
@@ -244,6 +245,13 @@ def _affine_eval(e: Affine, k: int) -> int:
     return e[0] * k + e[1]
 
 
+def _json_affine(value: object) -> Affine:
+    """An affine index read from JSON: exactly two integers."""
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"expected an [alpha, beta] pair, got {value!r}")
+    return _json_int(value[0]), _json_int(value[1])
+
+
 def _affine_str(e: Affine, var: str = "k") -> str:
     alpha, beta = e
     if alpha == 0:
@@ -339,17 +347,14 @@ class EqTerm:
     def from_json(cls, data: dict) -> "EqTerm":
         coeff = data.get("coeff", {})
         poly_json = coeff.get("poly", [[1, {}, [0, 0]]])
-        poly = tuple(
-            (_json_int(c), Monomial.from_dict(vars_).items,
-             (_json_int(e[0]), _json_int(e[1])))
-            for c, vars_, e in poly_json)
-        den = tuple((_json_int(d[0]), _json_int(d[1]))
-                    for d in coeff.get("den", ()))
+        poly = tuple((_json_int(c), Monomial.from_dict(vars_).items, _json_affine(e))
+                     for c, vars_, e in poly_json)
+        den = tuple(map(_json_affine, coeff.get("den", ())))
         sub = data.get("sub")
         return cls(
             kind=data["kind"],
-            colour=data.get("colour"),
-            size=tuple(map(_json_int, data["size"])) if "size" in data else None,
+            colour=None if data.get("colour") is None else _json_str(data["colour"]),
+            size=_json_affine(data["size"]) if "size" in data else None,
             over=_json_bool(data.get("over", False)),
             poly=poly,
             den=den,
@@ -397,14 +402,15 @@ class EquationSpec:
     @classmethod
     def from_json(cls, data: dict) -> "EquationSpec":
         return cls(
-            name=data["name"],
-            system=data["system"],
+            name=_json_str(data["name"]),
+            system=_json_str(data["system"]),
             kmin=_json_int(data["kmin"]),
             kmax_default=_json_int(data.get("kmax_default", data["kmin"])),
             lhs=tuple(EqTerm.from_json(t) for t in data["lhs"]),
             rhs=tuple(EqTerm.from_json(t) for t in data["rhs"]),
-            colours=tuple(data["colours"]) if data.get("colours") else None,
-            note=data.get("note", ""),
+            colours=(tuple(map(_json_str, data["colours"]))
+                     if data.get("colours") else None),
+            note=_json_str(data.get("note", "")),
         )
 
 

@@ -27,6 +27,11 @@ class SystemSpecError(ValueError):
     """A system definition violates its well-formedness rules."""
 
 
+#: the most part sizes per colour the validity check walks; a system whose
+#: gaps, moduli, minimum sizes or forbidden parts need more is refused
+CHECK_WINDOW_LIMIT = 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # parts, domains, colours
 # ---------------------------------------------------------------------------
@@ -341,6 +346,13 @@ class ColouredSystem:
                      + [s + 1 for s, _ in self.forbidden_parts], default=0)
         gaps = [0] + [g for cols in self.gap.rows.values() for g in cols.values()]
         top = stable + max(gaps) + 2 * period  # upper parts: sizes below top
+        window = top - min(gaps) - min((c.domain.min_size for c in self.colours),
+                                       default=0)
+        if window > CHECK_WINDOW_LIMIT:
+            raise SystemSpecError(
+                f"the validity check would walk {window} part sizes per colour, "
+                f"more than {CHECK_WINDOW_LIMIT}: a gap, modulus, minimum size "
+                "or forbidden part is too large")
         sizes = {c.label: [s for s in c.domain.sizes_up_to(top - min(gaps))
                            if (s, c.label) not in self.forbidden_parts]
                  for c in self.colours}

@@ -20,6 +20,7 @@ from wwords import (
     list_partitions,
     product_expand,
 )
+from wwords.algebra import EXPONENT_BOUND
 from wwords.cli import main
 from wwords.recurrence import builtin_equation
 
@@ -571,6 +572,12 @@ def _good_input(kind):
                  id="equation-word-kmin"),
     pytest.param("equation", lambda d: d["rhs"][1].update(size=5),
                  id="equation-scalar-size"),
+    pytest.param("equation", lambda d: d["lhs"][0].update(size=[1]),
+                 id="equation-short-size"),
+    pytest.param("equation", lambda d: d.update(system=[]),
+                 id="equation-list-system"),
+    pytest.param("equation", lambda d: d["lhs"][0].update(colour=["a"]),
+                 id="equation-list-colour"),
     pytest.param("series", lambda d: d.update(qmax="q"),
                  id="series-word-qmax"),
     pytest.param("series", lambda d: d["coefficients"].append(5),
@@ -637,6 +644,25 @@ def test_non_boolean_flag_is_usage_error(tmp_path, kind, spoil):
                            *argv(str(path))], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stdout
     assert "expected a boolean" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exponent", [
+    pytest.param(EXPONENT_BOUND, id="factor-at-the-bound"),
+    pytest.param(EXPONENT_BOUND // 2, id="square-at-the-bound"),
+])
+def test_exponent_at_the_bound_is_engine_error(tmp_path, exponent):
+    """An exponent the monomial codes cannot hold, read from the file or
+    reached by the expansion, is refused by the variable's name."""
+    doc = identity_case("theorem-2").product.to_json()
+    doc[0]["coeff"]["vars"] = {"a": exponent}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "wwords.cli", "expand",
+                           "--product", str(path), "--qmax", "4"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout
+    assert f"exponent {EXPONENT_BOUND} of variable 'a'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

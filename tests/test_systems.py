@@ -21,6 +21,7 @@ from wwords import (
     substitute,
 )
 from wwords.systems import (
+    CHECK_WINDOW_LIMIT,
     andrews_colour_data,
     andrews_colour_label,
     preset_dilation,
@@ -533,6 +534,32 @@ def test_negative_part_sizes_rejected():
     with pytest.raises(SystemSpecError, match="negative size -1"):
         one_colour(frozenset())
     assert one_colour(frozenset({(-1, "a")})).parts_up_to(1) == [P(0, "a"), P(1, "a")]
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"gap": {"a": {"a": CHECK_WINDOW_LIMIT, "b": 2},
+                          "b": {"a": 1, "b": 1}}}, id="gap"),
+    pytest.param({"domain": SizeDomain(min_size=1, modulus=CHECK_WINDOW_LIMIT,
+                                       residues=frozenset({1}))}, id="modulus"),
+    pytest.param({"domain": SizeDomain(min_size=2 ** 63)}, id="minimum-size"),
+    pytest.param({"forbidden": frozenset({(2 ** 40, "b")})}, id="forbidden-part"),
+])
+def test_validity_window_beyond_the_limit_rejected(change):
+    """A window that would take the check minutes and gigabytes is refused
+    before any of it is walked."""
+    with pytest.raises(SystemSpecError, match="validity check would walk"):
+        ColouredSystem(
+            name="wide",
+            colours=(
+                ColourDef("a", Monomial.var("a"), SizeDomain(min_size=1)),
+                ColourDef("b", Monomial.var("b"),
+                          change.get("domain", SizeDomain(min_size=1))),
+            ),
+            gap=MatrixGap(change.get("gap", {"a": {"a": 1, "b": 2},
+                                             "b": {"a": 1, "b": 1}})),
+            rank_rule=RankRule(2, {"a": -2, "b": -1}),
+            forbidden_parts=change.get("forbidden", frozenset()),
+        )
 
 
 def test_incomplete_matrix_rejected():

@@ -227,6 +227,33 @@ class Monomial:
 _MONOMIAL_ONE = Monomial()
 
 
+def _decode_buckets(coded: list[dict[int, int]]) -> list[dict[Monomial, int]]:
+    """The buckets keyed by monomials instead of their packed codes.
+
+    A code that no monomial holds yet is split into its fields and goes
+    through the constructor, so a field at or above the bound raises.  A
+    field that carried into the next one cannot be seen, so for each code
+    whose summands carried, the buckets must also hold one with an
+    exponent at the bound.
+    """
+    names = list(_FIELDS)  # the field at offset i*FIELD_BITS is names[i]
+    field = (1 << FIELD_BITS) - 1
+    out = []
+    for bucket in coded:
+        decoded = {}
+        for code, count in bucket.items():
+            mono = _INTERNED.get(code)
+            if mono is None:
+                items, rest = [], code
+                for name in names:
+                    items.append((name, rest & field))
+                    rest >>= FIELD_BITS
+                mono = Monomial(items)
+            decoded[mono] = count
+        out.append(decoded)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -1,17 +1,40 @@
 """Direct enumeration of coloured partitions.
 
 This engine builds generating functions the slow, obviously-correct way: a
-depth-first walk over every valid partition, largest part first, checking the
-gap condition between consecutive parts.  It shares no recursion logic with
-the recurrence engine, so agreement between the two is a real cross-check.
+walk that reaches every valid partition by its own path, largest part
+first, and counts it once.  It shares no recursion logic, and no table,
+with the recurrence engine, so agreement between the two is a real
+cross-check.
+
+The walk runs over continuation states.  What may follow a chain depends
+on its last part's rule (the largest size of each lower (colour, over)
+group that may sit directly below it: the gap is read once per gap-matrix
+row, part size and group), the size still free below qmax and, under a
+degree cap, the colour degree still free below degmax.  A state keyed by
+the rule and the degree room is built the first time the walk needs it
+and lists only the parts that fit below the rule within that degree room,
+ascending by size.  The parts that fit a size room are a prefix of it,
+and the walk stops at the first part beyond: it tries no other part that
+it cannot place.  A continuation that no part could extend is counted as
+a partition but never pushed.
+
+A state holds no count: many chains end in the same state, and the walk
+goes through it once for each, adding each of its continuations as a
+partition of its own.  That is why every partition is still visited, and
+why the node budget counts them all.  A chain is carried as a label: the
+packed exponent code of its weight (see ``algebra``), turned back into a
+monomial once per distinct (size, code); the tuple of its parts when the
+parts themselves are asked for; or 0 when only counts are.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .algebra import Monomial, TruncatedSeries
+from .algebra import Monomial, TruncatedSeries, _decode_buckets
 from .systems import ColouredPart, ColouredSystem
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -79,61 +102,95 @@ def is_valid_partition(sys: ColouredSystem,
     return True, ""
 
 
-def _prepare(sys: ColouredSystem, qmax: int, degmax: int | None):
+def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
+          label: Callable[[ColouredPart], object], root) -> list[dict]:
+    """Count every valid partition of size at most qmax, and of colour
+    degree at most degmax, by its label: one dict label -> count per size.
+
+    ``root`` is the empty partition's label and ``label(p)`` each part's; a
+    chain's label is root + label(p1) + label(p2) + ... .  The walk keeps
+    its own stack, so neither the number of parts nor the degree room is
+    bounded by Python's recursion limit.
+    """
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     sys.check_termination(degmax)
-    parts = sys.parts_up_to(qmax)
-    if degmax is not None:
-        parts = [p for p in parts if sys.part_weight(p).degree <= degmax]
-    below: dict[ColouredPart, list[ColouredPart]] = {}
-    for p in parts:
-        cands = []
-        for p2 in parts:
-            if p2.size <= p.size - sys.min_gap(p, p2):
-                cands.append(p2)
-        below[p] = cands
-    return parts, below
-
-
-def _walk(sys: ColouredSystem, qmax: int, degmax: int | None, visit):
-    """Run the DFS, calling visit(chain, weight, total) at every partition.
-
-    The empty partition is visited first with weight 1 and total 0.  The
-    walk keeps its own stack, one frame per part of the current chain, so
-    the number of parts is not bounded by Python's recursion limit.
-    """
-    parts, below = _prepare(sys, qmax, degmax)
     budget = _node_budget()
-    count = 0
-    weights = {p: sys.part_weight(p) for p in parts}
-    degs = {p: w.degree for p, w in weights.items()}
+    # a lower part's (colour, over) group fixes its weight, and with the
+    # upper part its gap; each group's parts come ascending by size.
+    # Without a cap every degree reads 0, so every part fits any room
+    grouped: dict[tuple[str, bool], list[ColouredPart]] = {}
+    for p in sys.parts_up_to(qmax):
+        grouped.setdefault((p.colour, p.over), []).append(p)
+    groups = [(group, 0 if degmax is None else sys.part_weight(group[0]).degree)
+              for group in grouped.values()]
+    groups = [(group, deg) for group, deg in groups
+              if degmax is None or deg <= degmax]
+    reps = [group[0] for group, _ in groups]
+    sizes = [[p.size for p in group] for group, _ in groups]
+    degs = [deg for _, deg in groups]
+    top = max(degs, default=0)
+    # a part's rule: per group, the largest size that may sit directly
+    # below it.  The gap reads only the part's gap-matrix row, so parts of
+    # one row and size share a rule; the last rule, every part up to
+    # qmax, is the empty chain's
+    rules: dict[tuple[str, int], int] = {}
+    limits: list[list[int]] = []
+    rule_of: dict[ColouredPart, int] = {}
+    for group, _ in groups:
+        for p in group:
+            rule = rules.setdefault((sys.gap.row_class(p), p.size), len(limits))
+            if rule == len(limits):
+                limits.append([p.size - sys.min_gap(p, rep) for rep in reps])
+            rule_of[p] = rule
+    limits.append([qmax] * len(reps))
+    # need[rule][d]: the least size room in which some part fits below a
+    # part of that rule with degree room d (qmax + 1 if none ever does)
+    need = [[min((row[0] for row, lim, dg in zip(sizes, lims, degs)
+                  if dg <= d and row[0] <= lim), default=qmax + 1)
+             for d in range(top + 1)] for lims in limits]
+    # one entry per part, shared by every state it continues:
+    # (size, label, rule, degree, need of its rule)
+    entries = [[(p.size, label(p), rule_of[p], deg, need[rule_of[p]])
+                for p in group] for group, deg in groups]
+    # a state: the parts that may follow a part of one rule within a
+    # degree room, ascending by size, so that a size room is a prefix
+    states: dict[int, list] = {}
 
-    visit((), Monomial.one(), 0)
-    chain: list[ColouredPart] = []
-    # frames: (parts that may come next, weight of the chain, its size)
-    stack = [(iter(parts), Monomial.one(), 0)]
+    def build(rule: int, deg: int) -> list:
+        fits = []
+        for row, lim, dg, group in zip(sizes, limits[rule], degs, entries):
+            if dg <= deg:
+                fits += group[:bisect_right(row, lim)]
+        fits.sort(key=itemgetter(0))
+        states[rule * (top + 1) + deg] = fits
+        return fits
+
+    out: list[dict] = [{} for _ in range(qmax + 1)]
+    out[0][root] = 1
+    visited = 0
+    stack = [(len(limits) - 1, qmax, 0 if degmax is None else degmax, root)]
+    pop, push = stack.pop, stack.append
     while stack:
-        candidates, weight, total = stack[-1]
-        for p in candidates:
-            t = total + p.size
-            if t > qmax or (degmax is not None
-                            and weight.degree + degs[p] > degmax):
-                continue
-            count += 1
-            if count > budget:
-                raise EnumerationLimitError(
-                    f"enumeration exceeded {budget} partitions; raise the "
-                    f"limit via the {_MAX_NODES_ENV} environment variable")
-            w = weight * weights[p]
-            chain.append(p)
-            visit(tuple(chain), w, t)
-            stack.append((iter(below[p]), w, t))
-            break
-        else:
-            stack.pop()
-            if stack:
-                chain.pop()
+        rule, room, deg, chain = pop()
+        d = deg if deg < top else top
+        fits = states.get(rule * (top + 1) + d) or build(rule, d)
+        total = qmax - room
+        for s, step, rule2, dg, needs in fits:
+            if s > room:
+                break
+            visited += 1
+            key = chain + step
+            bucket = out[total + s]
+            bucket[key] = bucket.get(key, 0) + 1
+            deg2 = deg - dg
+            if room - s >= needs[deg2 if deg2 < top else top]:
+                push((rule2, room - s, deg2, key))
+        if visited > budget:
+            raise EnumerationLimitError(
+                f"enumeration exceeded {budget} partitions; raise the "
+                f"limit via the {_MAX_NODES_ENV} environment variable")
+    return out
 
 
 def enumerate_series(sys: ColouredSystem, qmax: int,
@@ -144,12 +201,11 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
     Weight degrees are bounded by degmax *before* erased variables are set
     to 1; erasure happens on the final series.
     """
-    buckets: list[dict[Monomial, int]] = [dict() for _ in range(qmax + 1)]
-
-    def visit(chain, weight, total):
-        buckets[total][weight] = buckets[total].get(weight, 0) + 1
-
-    _walk(sys, qmax, degmax, visit)
+    # each step adds exponents below the bound, and every prefix of a
+    # partition is one too: before a field of a sum could carry into the
+    # next, a prefix holds an exponent at the bound, and decoding raises
+    buckets = _decode_buckets(
+        _walk(sys, qmax, degmax, lambda p: sys.part_weight(p)._code, 0))
     series = TruncatedSeries(buckets, degmax)
     if sys.erased_vars:
         series = series.specialize({v: 1 for v in sys.erased_vars})
@@ -160,13 +216,7 @@ def list_partitions(sys: ColouredSystem, n: int,
                     degmax: int | None = None) -> list[tuple[ColouredPart, ...]]:
     """All valid partitions of total size exactly n, each listed largest part
     first, ordered lexicographically by their rank sequences."""
-    found: list[tuple[ColouredPart, ...]] = []
-
-    def visit(chain, weight, total):
-        if total == n:
-            found.append(chain)
-
-    _walk(sys, n, degmax, visit)
+    found = list(_walk(sys, n, degmax, lambda p: (p,), ())[n])
     found.sort(key=lambda ch: [sys.part_key(p) for p in ch])
     return found
 
@@ -174,10 +224,5 @@ def list_partitions(sys: ColouredSystem, n: int,
 def count_partitions(sys: ColouredSystem, qmax: int,
                      degmax: int | None = None) -> list[int]:
     """Number of valid partitions of each 0..qmax (weights ignored)."""
-    counts = [0] * (qmax + 1)
-
-    def visit(chain, weight, total):
-        counts[total] += 1
-
-    _walk(sys, qmax, degmax, visit)
-    return counts
+    return [sum(by_label.values())
+            for by_label in _walk(sys, qmax, degmax, lambda p: 0, 0)]

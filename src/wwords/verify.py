@@ -428,8 +428,8 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
     if max_n is None:
         max_n = default_cap
     sys_b = build_preset(case.side_b)
-    pool: list[tuple[ColouredPart, ...]] = []
-    _walk(sys_b, max_n, None, lambda chain, _weight, _total: pool.append(chain))
+    pool = [chain for chains in _walk(sys_b, max_n, None, lambda p: (p,), ())
+            for chain in chains]
     # by size, then as list_partitions orders the partitions of one size
     pool.sort(key=lambda chain: (sum(p.size for p in chain),
                                  [sys_b.part_key(p) for p in chain]))

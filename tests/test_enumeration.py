@@ -1,5 +1,7 @@
 """Tests for the direct-enumeration engine."""
 
+import random
+
 import pytest
 
 import oracles
@@ -14,6 +16,8 @@ from wwords import (
     SystemSpecError,
     build_preset,
     check_statistics,
+    dp_series,
+    identity_case,
     search_relations,
     statistic_substitution,
     substitute,
@@ -29,7 +33,7 @@ from wwords.enumeration import (
 )
 from wwords.systems import preset_dilation
 
-from helpers import constant, poly
+from helpers import constant, poly, random_system
 
 
 def P(size, colour, over=False):
@@ -285,6 +289,36 @@ def test_node_budget_reaches_every_walk(monkeypatch, walk):
         walk()
 
 
+def _nonempty_partitions(preset, qmax, degmax):
+    """How many non-empty partitions a walk to qmax visits, by the
+    recurrence: every coefficient of the series counts partitions."""
+    f = dp_series(build_preset(preset), qmax, degmax)
+    return sum(sum(f.coefficient(n).terms.values())
+               for n in range(qmax + 1)) - 1
+
+
+@pytest.mark.parametrize("walk,preset,qmax,degmax", [
+    (lambda: enumerate_series(build_preset("schur-weighted"), 10),
+     "schur-weighted", 10, None),
+    (lambda: count_partitions(build_preset("andrews-overpartitions(2)"), 5, 4),
+     "andrews-overpartitions(2)", 5, 4),
+    (lambda: list_partitions(build_preset("siladic-weighted"), 8),
+     "siladic-weighted", 8, None),
+    (lambda: check_statistics("theorem-4", max_n=36),
+     identity_case("theorem-4").side_b, 36, None),
+], ids=["enumerate", "count", "list", "statistics"])
+def test_node_budget_is_exact(monkeypatch, walk, preset, qmax, degmax):
+    # the partitions a state counts without pushing still count
+    budget = _nonempty_partitions(preset, qmax, degmax)
+    assert budget > 100
+    monkeypatch.setenv("WWORDS_MAX_NODES", str(budget))
+    walk()
+    monkeypatch.setenv("WWORDS_MAX_NODES", str(budget - 1))
+    with pytest.raises(EnumerationLimitError,
+                       match=f"exceeded {budget - 1} partitions"):
+        walk()
+
+
 def test_walk_depth_is_not_bounded_by_recursion_limit():
     # one colour whose only size up to 1500 is 1, allowed to repeat: the
     # partition 1 + 1 + ... + 1 of n has n parts
@@ -294,6 +328,69 @@ def test_walk_depth_is_not_bounded_by_recursion_limit():
         gap=MatrixGap({"a": {"a": 0}}), rank_rule=RankRule(1, {"a": 0}),
     )
     assert count_partitions(ones, 1500) == [1] * 1501
+    series = enumerate_series(ones, 1500)
+    assert all(series.coefficient(n) == poly({"1": 1}) for n in range(1501))
+    assert list_partitions(ones, 1500) == [(P(1, "a"),) * 1500]
+    # size-0 parts of weight a: the depth comes from the degree room alone
+    zeros = ColouredSystem(
+        name="zeros", colours=(ColourDef("z", Monomial.var("a"),
+                                         SizeDomain(0, 2000, frozenset({0}))),),
+        gap=MatrixGap({"z": {"z": 0}}), rank_rule=RankRule(1, {"z": 0}),
+    )
+    assert count_partitions(zeros, 3, degmax=1500) == [1501, 0, 0, 0]
+    series = enumerate_series(zeros, 0, degmax=1500)
+    assert series.coefficient(0) == poly(
+        {Monomial.var("a", k): 1 for k in range(1501)})
+    listed = list_partitions(zeros, 0, degmax=1500)
+    assert listed == [(P(0, "z"),) * k for k in range(1501)]
+
+
+# ---------------------------------------------------------------------------
+# generated systems against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_partitions(sys, qmax, degmax):
+    """Every chain of the system's parts that the gap rule allows, by the
+    oracle's own search, within qmax and degmax."""
+    chains = oracles.brute_force_partitions(
+        qmax, sys.parts_up_to(qmax), lambda p: p.size,
+        lambda upper, lower: upper.size - lower.size >= sys.min_gap(upper, lower))
+    return [ch for ch in chains if degmax is None
+            or sum(sys.part_weight(p).degree for p in ch) <= degmax]
+
+
+def test_walk_matches_brute_force_on_random_systems():
+    rng = random.Random(2718)
+    checked = {"all": 0, "degmax": 0, "erased": 0, "over": 0}
+    for attempt in range(120):
+        sys = random_system(rng, attempt)
+        if sys is None or sys.has_zero_parts:
+            continue
+        qmax = rng.randrange(6, 12)
+
+        def vars_of(p, sys=sys):
+            return {v: e for v, e in sys.part_weight(p).items
+                    if v not in sys.erased_vars}
+
+        for degmax in (None, rng.randrange(1, 6)):
+            chains = _oracle_partitions(sys, qmax, degmax)
+            case = (sys.to_json(), qmax, degmax)
+            assert to_key_dicts(enumerate_series(sys, qmax, degmax)) == (
+                oracles.series_from_chains(chains, qmax, lambda p: p.size,
+                                           vars_of)), case
+            counts = [0] * (qmax + 1)
+            for ch in chains:
+                counts[sum(p.size for p in ch)] += 1
+            assert count_partitions(sys, qmax, degmax) == counts, case
+            want = sorted((ch for ch in chains if sum(p.size for p in ch) == qmax),
+                          key=lambda ch: [sys.part_key(p) for p in ch])
+            assert list_partitions(sys, qmax, degmax) == want, case
+            checked["all"] += 1
+            checked["degmax"] += degmax is not None
+        checked["erased"] += bool(sys.erased_vars)
+        checked["over"] += sys.overline_marker is not None
+    assert min(checked.values()) >= 3, checked
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wwords import algebra  # noqa: E402
+from wwords import (  # noqa: E402
+    ColourDef,
+    ColouredSystem,
+    MatrixGap,
+    RankRule,
+    SizeDomain,
+    algebra,
+    enumerate_series,
+)
 from wwords.algebra import (  # noqa: E402
     EXPONENT_BOUND,
     AlgebraError,
@@ -132,15 +140,30 @@ def test_every_way_of_making_a_monomial_refuses_the_bound():
         top = Monomial.var("a", EXPONENT_BOUND - 1)
         assert top.exponent("a") == EXPONENT_BOUND - 1
         half = Monomial.var("a", EXPONENT_BOUND // 2)
+        # parts of weight a^(2^30), any number of them: two reach the
+        # bound, and the codes of four would carry into the next field
+        halves = ColouredSystem(
+            name="halves", colours=(ColourDef("c", half, SizeDomain(1)),),
+            gap=MatrixGap({"c": {"c": 0}}), rank_rule=RankRule(1, {"c": 0}))
         for make in (lambda: Monomial([("a", EXPONENT_BOUND)]),
                      lambda: Monomial([("b", 1), ("a", EXPONENT_BOUND // 2)] * 2),
                      lambda: Monomial.from_dict({"b": 1, "a": EXPONENT_BOUND}),
                      lambda: half * half,
                      lambda: top * a,
                      lambda: half ** 2,
-                     lambda: (a * b) ** EXPONENT_BOUND):
+                     lambda: (a * b) ** EXPONENT_BOUND,
+                     lambda: enumerate_series(halves, 2),
+                     lambda: enumerate_series(halves, 4)):
             with pytest.raises(AlgebraError, match="variable 'a'"):
                 make()
+        # one such part is below the bound, and so is a partition of 4
+        # whose parts must differ by 5
+        assert enumerate_series(halves, 1).coefficient(1).terms == {half: 1}
+        apart = ColouredSystem(
+            name="apart", colours=halves.colours,
+            gap=MatrixGap({"c": {"c": 5}}), rank_rule=halves.rank_rule)
+        assert all(enumerate_series(apart, 4).coefficient(n).terms == {half: 1}
+                   for n in range(1, 5))
         # a carry out of a's field would have made b
         assert half * Monomial.var("a", EXPONENT_BOUND // 2 - 1) is Monomial.var(
             "a", EXPONENT_BOUND - 1)

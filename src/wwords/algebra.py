@@ -35,8 +35,9 @@ power of q, no zero coefficients), and every series operation in the
 package runs on one in-place kernel over them: :func:`_add_shifted` adds a
 shifted, scaled copy of one series into another, and :func:`_factor_step`
 multiplies or divides by a binomial factor ``(1 - c*mono*q^n)^|e|`` in one
-pass.  The kernel only ever writes into buckets it has just made; a
-series, once built, never changes its buckets.
+pass; a product expansion multiplies before it divides.  The kernel only
+ever writes into buckets it has just made; a series, once built, never
+changes its buckets.
 """
 
 from __future__ import annotations
@@ -771,9 +772,15 @@ class ProductSpec:
 
 def product_expand(spec: ProductSpec, qmax: int,
                    degmax: int | None = None) -> TruncatedSeries:
-    """Expand a product specification into a truncated series."""
+    """Expand a product specification into a truncated series.
+
+    Finite families (``power < 0``) go before the dividing ones, each group
+    in spec order.  The product commutes, so the result is the same, and a
+    division then cancels against its numerator as it runs: an Euler
+    quotient ``(x^2 q^2; q^2m) / (x q; q^m)`` never builds every power of x.
+    """
     acc = _one_buckets(qmax)
-    for fac in spec.factors:
+    for fac in sorted(spec.factors, key=lambda f: f.power > 0):
         # a start-0 factor occurs once at q^0, then the family continues
         for n in range(fac.start, qmax + 1, fac.mod):
             _factor_step(acc, fac.sign, fac.mono, n, -fac.power, degmax)

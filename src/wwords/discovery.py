@@ -276,13 +276,18 @@ def _survivors(table, free: Sequence[str], prims: Sequence[str], max_exponent: i
                                                 hi.get(other, zero)))
                 if any(d):
                     conditions.add(d)
-        diffs = list(conditions)
+        diffs = [(d[:nprims], d[nprims:]) for d in conditions]
         passing: list[list] = [[] for _ in range(nprims)]
         for c in coords:
-            dots = [sum(a * x for a, x in zip(d[nprims:], c)) for d in diffs]
-            for j in range(nprims):
-                if all(d[j] + dot == 0 for d, dot in zip(diffs, dots)):
-                    passing[j].append(c)
+            # test one difference at a time; stop once no primary passes
+            alive = range(nprims)
+            for const, lin in diffs:
+                dot = sum(a * x for a, x in zip(lin, c))
+                alive = [j for j in alive if const[j] + dot == 0]
+                if not alive:
+                    break
+            for j in alive:
+                passing[j].append(c)
         # one coordinate vector per primary, transposed to one image per free
         keep.update(tuple(zip(*cs)) for cs in itertools.product(*passing))
     return keep

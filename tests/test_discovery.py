@@ -21,6 +21,7 @@ from wwords import (
     relabel_colours,
     search_relations,
 )
+from wwords import discovery
 from wwords.algebra import FactorizationError, SubstitutionMap, substitute
 from wwords.discovery import _early_window, _survivors
 
@@ -123,6 +124,16 @@ class TestRecognizePeriodicProduct:
         pattern = recognize_periodic_product(f.truncate(12))
         assert pattern.period == 2
         assert product_expand(pattern.spec, 12) == f.truncate(12)
+
+    def test_re_expansion_refuses_a_wrong_pattern(self, monkeypatch):
+        # offered the wrong pair (1, 0) first, the recognizer builds its
+        # pattern, re-expands it, sees the mismatch and claims nothing
+        f = product_expand(identity_case("theorem-2").product, 24)
+        assert recognize_periodic_product(f).period == 2
+        periods = discovery._periods
+        monkeypatch.setattr(discovery, "_periods", lambda rows, pairs, upto:
+                            [(1, 0), *periods(rows, pairs, upto)])
+        assert recognize_periodic_product(f) is None
 
     def test_non_unit_constant_term_raises(self):
         f = TruncatedSeries.one(10) + TruncatedSeries.one(10)

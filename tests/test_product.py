@@ -2,6 +2,12 @@
 
 import random
 
+from wwords import (
+    algebra,
+    identity_case,
+    identity_names,
+    recognize_periodic_product,
+)
 from wwords.algebra import (
     Monomial,
     ProductFactor,
@@ -129,3 +135,36 @@ def test_product_spec_json_round_trip():
     again = ProductSpec.from_json(spec.to_json())
     assert again == spec
     assert product_expand(again, 8) == product_expand(spec, 8)
+
+
+def _terms(buckets) -> int:
+    return sum(len(b) for b in buckets)
+
+
+@pytest.mark.parametrize("name", [
+    n for n in identity_names() if identity_case(n).product is not None])
+def test_expansion_never_outgrows_its_result(monkeypatch, name):
+    """The accumulator of product_expand never holds more terms than the
+    result, for each registry product and for the pattern recognized from
+    it at q24.  Dividing first used to pile up the powers that the
+    numerators of a pattern's Euler quotients cancel later: theorem-6's
+    pattern peaked at 20,475 terms for a result of 3,124."""
+    case = identity_case(name)
+    product = product_expand(case.product, 24, case.degmax)
+    pattern = recognize_periodic_product(product)
+    assert pattern is not None
+    peak = 0
+    step = algebra._factor_step
+
+    def recording(f, *args):
+        nonlocal peak
+        step(f, *args)
+        peak = max(peak, _terms(f))
+
+    monkeypatch.setattr(algebra, "_factor_step", recording)
+    for spec in (case.product, pattern.spec):
+        peak = 0
+        result = product_expand(spec, 24, case.degmax)
+        assert result == product
+        size = _terms(result.coefficient(n).terms for n in range(25))
+        assert 0 < peak <= size, spec

@@ -2,7 +2,8 @@
 
 ``+``, ``-``, ``*``, ``cap_degree``, ``specialize``, ``substitute`` and
 ``product_expand`` are checked against sympy's expansion of the same
-expressions, truncated to the same q-order and colour degree.  Euler
+expressions, truncated to the same q-order and colour degree, and
+``product_expand`` must not depend on the order of its factors.  Euler
 factorization followed by re-expansion, and the JSON round trip, must give
 back the series they started from.  Every series is a series in the
 colour variables a and b.
@@ -170,6 +171,33 @@ def test_product_expand_matches_sympy(fs, qmax, degmax):
     assert all(e[0] <= qmax and (degmax is None or e[1] + e[2] <= degmax)
                for e in as_dict(got))
     assert reference(sym(got) * den, qmax, degmax) == reference(num, qmax, degmax)
+
+
+@st.composite
+def factor_st(draw, powers, degmax: int | None) -> ProductFactor:
+    """A factor family; it may start at q^0 when its monomial carries a
+    colour and it terminates there: finite, or cut by degmax."""
+    mono, power = draw(monomials), draw(powers)
+    lowest = 0 if mono.degree and (degmax is not None or power <= 0) else 1
+    return ProductFactor(draw(st.sampled_from([1, -1])), mono,
+                         draw(st.integers(lowest, 3)), draw(st.integers(1, 3)),
+                         power)
+
+
+@PROPERTY
+@given(st.integers(0, 6), degmaxes, st.data())
+def test_product_expand_ignores_factor_order(qmax, degmax, data):
+    """Dividing and finite families, mixed and in any order, expand to the
+    same buckets."""
+    fs = [*data.draw(st.lists(factor_st(st.integers(1, 2), degmax),
+                              min_size=1, max_size=2)),
+          *data.draw(st.lists(factor_st(st.integers(-2, -1), degmax),
+                              min_size=1, max_size=2)),
+          *data.draw(st.lists(factor_st(st.integers(-2, 2), degmax),
+                              max_size=1))]
+    shuffled = data.draw(st.permutations(fs))
+    assert product_expand(ProductSpec(shuffled), qmax, degmax) == \
+        product_expand(ProductSpec(fs), qmax, degmax)
 
 
 @PROPERTY

@@ -389,8 +389,9 @@ def _factor_step(f: list[dict], c: int, mono: Monomial, n: int, e: int,
     One pass for any |e|: multiplying runs from the top bucket down and
     dividing from the bottom up, and each bucket takes at most
     min(|e|, qmax/n) binomial terms of (1 - x)^|e|.  At n = 0 the factor is
-    graded by colour degree alone: mono must carry a colour, and dividing
-    needs degmax to stop.
+    graded by colour degree alone: mono must carry a colour, and degmax
+    bounds the terms it takes, which |e| would not bound at all when
+    dividing and only by |e| itself when multiplying.
     """
     if e == 0:
         return
@@ -398,10 +399,10 @@ def _factor_step(f: list[dict], c: int, mono: Monomial, n: int, e: int,
     if n == 0:
         if d == 0:
             raise ProductSpecError("(1 - c)^e with constant c cannot be expanded")
-        if e < 0 and degmax is None:
+        if degmax is None:
             raise ProductSpecError(
                 "a q^0 factor needs a degmax cap to truncate its expansion")
-        kmax = power if degmax is None else degmax // d
+        kmax = degmax // d
         if e > 0:
             kmax = min(kmax, power)
         old = [dict(b) for b in f]

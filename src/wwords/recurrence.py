@@ -21,6 +21,14 @@ Erased variables are set to 1 in the part weights when there is no degree
 cap, so they never enter the tables.  Under a cap their degree still counts
 against it, so the tables keep them and each lookup sets them to 1.
 
+Under a dilation (``dp_series(..., dilation=d)``) the tables are graded by
+dilated size: a term mu*q^n sits at g = m*n + sum of shift(v)*exponent(v),
+where ``substitute`` sends it once erased variables are set to 1, and
+nothing past qmax is built.  g adds up over parts, so while no part's g is
+negative a chain past qmax stays past it.  A part past qmax, below 0, or at
+0 without degmax, which ``substitute`` drops or refuses, keeps only its
+one-part term, and the total is graded back by size.
+
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
 objects checkable to any truncation order.
@@ -45,7 +53,7 @@ from .algebra import (
     _zero_buckets,
     substitute,
 )
-from .systems import ColouredPart, ColouredSystem, build_preset
+from .systems import ColouredPart, ColouredSystem, DilationSpec, build_preset
 
 
 class RecurrenceError(ValueError):
@@ -69,11 +77,14 @@ class RecurrenceState:
     in reverse rank order, which give only the total series.  G is answered
     from prefix sums of the E tables, cached by the number of parts they
     cover.  Erased variables leave the part weights when degmax is None;
-    with a cap they are set to 1 on each lookup.
+    with a cap they are set to 1 on each lookup.  A ``dilation`` grades the
+    tables by dilated size and keeps only the total (see the module
+    docstring).
     """
 
     def __init__(self, sys: ColouredSystem, qmax: int,
-                 degmax: int | None = None, direction: str = "largest"):
+                 degmax: int | None = None, direction: str = "largest",
+                 dilation: DilationSpec | None = None):
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
         if direction not in ("largest", "smallest"):
@@ -83,6 +94,7 @@ class RecurrenceState:
         self.qmax = qmax
         self.degmax = degmax
         self.direction = direction
+        self.dilation = dilation
         # erased variables are set to 1: in the part weights, unless a
         # degree cap must still count their degree, and then on each lookup
         self._erase_on_lookup = degmax is not None and bool(sys.erased_vars)
@@ -97,11 +109,35 @@ class RecurrenceState:
 
     # -- construction -------------------------------------------------------
 
+    def _grade(self, n: int, mono: Monomial) -> int:
+        """The power of q a term mono*q^n sits at: n, or its dilated size."""
+        d = self.dilation
+        if d is None:
+            return n
+        return d.modulus * n + sum(d.var_shifts.get(v, 0) * e
+                                   for v, e in mono.items
+                                   if v not in self.sys.erased_vars)
+
     def _build(self) -> None:
         sys, qmax, degmax = self.sys, self.qmax, self.degmax
         parts = sys.parts_up_to(qmax)
         if degmax is not None:
             parts = [p for p in parts if sys.part_weight(p).degree <= degmax]
+        # each part's weight, less its erased variables when no lookup
+        # erases them, and the power of q its one-part term sits at
+        drop = () if self._erase_on_lookup else sys.erased_vars
+        placed = {}
+        self._outside: list[tuple[int, Monomial]] = []
+        for p in parts:
+            w = sys.part_weight(p)
+            if drop:
+                w = Monomial((v, e) for v, e in w.items if v not in drop)
+            g = self._grade(p.size, w)
+            if 0 < g <= qmax or (g == 0 and degmax is not None):
+                placed[p] = w, g
+            else:  # only under a dilation: see the module docstring
+                self._outside.append((p.size, w))
+        parts = list(placed)
         # sign +1 takes parts in rank order, each the new largest part, with
         # the next part below as its neighbour; sign -1 takes them in reverse
         # as the new smallest part, with the next part above.  Either way a
@@ -148,18 +184,15 @@ class RecurrenceState:
                     ptr += 1
                 ptrs[key, c] = ptr
 
-            # E_p = w q^s (1 + acc), closed geometrically by 1/(1 - w q^s)
+            # E_p = w q^g (1 + acc), closed geometrically by 1/(1 - w q^g)
             # when p may sit directly next to itself; the part list already
-            # holds only sizes <= qmax and weights within degmax
-            w = sys.part_weight(p)
-            if sys.erased_vars and not self._erase_on_lookup:
-                w = Monomial((v, e) for v, e in w.items
-                             if v not in sys.erased_vars)
+            # holds only grades <= qmax and weights within degmax
+            w, g = placed[p]
             E_p = _zero_buckets(qmax)
-            E_p[p.size][w] = 1
-            _add_shifted(E_p, acc, p.size, w, 1, degmax)
+            E_p[g][w] = 1
+            _add_shifted(E_p, acc, g, w, 1, degmax)
             if sys.min_gap(p, p) <= 0:
-                _factor_step(E_p, 1, w, p.size, -1, degmax)
+                _factor_step(E_p, 1, w, g, -1, degmax)
             self._E.append(E_p)
             _add_shifted(self._total, E_p)
 
@@ -172,7 +205,19 @@ class RecurrenceState:
         return series
 
     def total_series(self) -> TruncatedSeries:
-        return self._finish(self._total)
+        if self.dilation is None:
+            return self._finish(self._total)
+        # graded back by size, n = (g - shift(mono)) / m, with the one-part
+        # terms of the parts the tables leave out
+        buckets = _zero_buckets(self.qmax)
+        for g, bucket in enumerate(self._total):
+            for mono, c in bucket.items():
+                n = (g - self._grade(0, mono)) // self.dilation.modulus
+                if n <= self.qmax:
+                    buckets[n][mono] = c
+        for n, w in self._outside:
+            buckets[n][w] = buckets[n].get(w, 0) + 1
+        return self._finish(buckets)
 
     def parts(self) -> list[ColouredPart]:
         return list(self._parts)
@@ -220,17 +265,21 @@ class RecurrenceState:
         return cached[1]
 
     def _require_largest(self) -> None:
-        if self.direction != "largest":
+        if self.direction != "largest" or self.dilation is not None:
             raise RecurrenceError(
-                "G/E lookups need the largest-part direction; this state was "
-                f"built with direction {self.direction!r}")
+                "G/E lookups need largest-part tables and no dilation; this "
+                f"state was built with direction {self.direction!r}, "
+                f"dilation {self.dilation}")
 
 
-def dp_series(sys: ColouredSystem, qmax: int,
-              degmax: int | None = None) -> TruncatedSeries:
+def dp_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
+              dilation: DilationSpec | None = None) -> TruncatedSeries:
     """Full generating function up to q^qmax via the recurrence engine, in
-    the smallest-part order: a total needs no G/E lookups."""
-    return RecurrenceState(sys, qmax, degmax, "smallest").total_series()
+    the smallest-part order: a total needs no G/E lookups.  With a
+    ``dilation``, it holds the terms the dilation sends to q^qmax or below
+    and the one-part term of every part (see the module docstring)."""
+    return RecurrenceState(sys, qmax, degmax, "smallest",
+                           dilation).total_series()
 
 
 # ---------------------------------------------------------------------------

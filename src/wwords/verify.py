@@ -187,8 +187,11 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
             qmax, b_side=False))]
     if engine == "dilation":
         # every realizable part dilates to a size at least its weighted
-        # size, so the weighted series to the same order covers the window
-        base = dp_series(build_preset(case.dilation_of), qmax, degmax)
+        # size, so the weighted series to the same order covers the window;
+        # its DP stops at dilated size qmax, which adds up over parts and is
+        # negative for no part that substitute accepts
+        base = dp_series(build_preset(case.dilation_of), qmax, degmax,
+                         case.dilation)
         sub = statistic_substitution(case.dilation)
         return [("dilation", _apply_tail(
             case, substitute(base, sub, qmax, degmax), qmax, b_side=True))]

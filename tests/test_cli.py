@@ -207,6 +207,19 @@ class TestExpand:
         assert code_file == code_name == 0
         assert doc_file["table"] == doc_name["table"]
 
+    def test_q0_factor_needs_degmax_whatever_its_power(self, tmp_path):
+        # (1 + a)^1000000 at q^0 would cost a million terms at any qmax
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps([{"coeff": {"sign": -1, "vars": {"a": 1}},
+                                     "start": 0, "mod": 1, "power": -10 ** 6}]))
+        argv = ["expand", "--product", str(path), "--qmax", "2"]
+        code, _, err = run(argv)
+        assert code == 2
+        assert "needs a degmax cap" in err
+        code, doc, _ = run_json([*argv, "--degmax", "1"])
+        assert code == 0
+        assert doc["table"][0]["coefficient"] == "1 + 1000000*a"
+
     def test_unknown_product_source(self):
         code, _, err = run(["expand", "--product", "no-such", "--qmax", "5"])
         assert code == 2

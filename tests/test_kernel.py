@@ -1,7 +1,8 @@
 """The series kernel seen through the engines: the recurrence on generated
 systems against enumeration and its G/E lookups against fresh sums,
-dilation against substitution, specialization against direct evaluation,
-and product factors with large exponents."""
+dilation against substitution, the DP cut at the dilated size against the
+full DP, specialization against direct evaluation, and product factors
+with large exponents."""
 
 import random
 import time
@@ -18,6 +19,7 @@ from wwords import (
     ProductFactor,
     ProductSpec,
     RecurrenceState,
+    SubstitutionError,
     SystemSpecError,
     TruncatedSeries,
     build_preset,
@@ -175,6 +177,57 @@ def test_dilation_commutes_with_substitution_on_random_systems():
 def test_overpartition_presets_dilate(name, modulus):
     _assert_dilation_commutes(build_preset(name), DilationSpec(modulus, {}),
                               9, 3)
+
+
+def _dilation_engine(sys, d, qmax, degmax, cut):
+    """The weighted DP, cut at the dilated size or not, pushed through the
+    dilation's substitution: the series, or the SubstitutionError's text."""
+    base = dp_series(sys, qmax, degmax, d if cut else None)
+    try:
+        return substitute(base, statistic_substitution(d), qmax, degmax)
+    except SubstitutionError as exc:
+        return f"SubstitutionError: {exc}"
+
+
+def _hidden_guard(sys, d, qmax):
+    """Whether a part past the cut has colour degree above its size: the
+    term that trips substitute's degree guard lies where the cut prunes."""
+    for p in sys.parts_up_to(qmax):
+        w = sys.part_weight(p)
+        shift = sum(d.var_shifts.get(v, 0) * e for v, e in w.items
+                    if v not in sys.erased_vars)
+        degree = sum(e for v, e in w.items if v not in sys.erased_vars)
+        if degree > p.size and d.modulus * p.size + shift > qmax:
+            return True
+    return False
+
+
+def test_dp_cut_at_dilated_size_substitutes_like_the_full_dp():
+    """Cutting the DP at the dilated size changes neither the substituted
+    series nor whether substitute refuses: on generated systems with
+    negative, large and erased-variable shifts, with and without a degree
+    cap, both engines give the same series or both raise."""
+    rng = random.Random(1717)
+    seen = Counter()
+    for sys, qmax, own_degmax in _random_cases(31337):
+        carried = sorted({v for c in sys.colours for v, _ in c.weight.items})
+        for degmax in ((own_degmax,) if sys.has_zero_parts
+                       else (None, own_degmax or 4)):
+            shifts = {v: rng.choice([-2, -1, 0, 1, 2, qmax]) for v in carried}
+            d = DilationSpec(rng.randrange(1, 5), shifts)
+            full = _dilation_engine(sys, d, qmax, degmax, cut=False)
+            cut = _dilation_engine(sys, d, qmax, degmax, cut=True)
+            assert (cut == full if isinstance(full, TruncatedSeries)
+                    else isinstance(cut, str)), (sys.to_json(), d, qmax, degmax)
+            seen["raised" if isinstance(full, str) else "equal"] += 1
+            seen["degree guard"] += "colour degree above" in str(full)
+            seen["guard past the cut"] += (degmax is None
+                                           and _hidden_guard(sys, d, qmax))
+            seen["negative shift, equal"] += (min(shifts.values(), default=0) < 0
+                                              and isinstance(full, TruncatedSeries))
+            seen["degmax" if degmax is not None else "no degmax"] += 1
+            seen["erased, shifted"] += any(shifts.get(v) for v in sys.erased_vars)
+    assert min(seen.values()) >= 5 and len(seen) == 8, seen
 
 
 def _snapshot(f: TruncatedSeries) -> list[dict]:

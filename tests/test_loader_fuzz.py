@@ -12,11 +12,15 @@ null, empty containers), and then
   checked and does not hold.
 
 The commands carry their own order bounds (``--qmax``, ``--degmax``,
-``--kmax``), so that a huge number in the file cannot ask for unbounded work.
+``--kmax``), so that a huge number in the file cannot ask for unbounded work,
+except that product documents also run through ``expand`` with ``--qmax``
+alone: a product's cost must follow qmax, not a power in the file.  Every
+run must end within ``RUN_SECONDS``.
 """
 
 import io
 import json
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -42,6 +46,12 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None
 
 #: what cli._from_json turns into a usage error naming the file
 MALFORMED = (LookupError, TypeError, AttributeError, ValueError)
+#: wall-clock bound on one command; each takes milliseconds when it ends
+RUN_SECONDS = 5
+
+
+class Overran(Exception):
+    """A command ran past RUN_SECONDS."""
 
 
 def _documents():
@@ -55,6 +65,8 @@ def _documents():
         "product": (theorem_2.to_json(), ProductSpec,
                     lambda p: ["expand", "--product", p, "--qmax", "4",
                                "--degmax", "4"]),
+        "product-uncapped": (theorem_2.to_json(), ProductSpec,
+                             lambda p: ["expand", "--product", p, "--qmax", "4"]),
         "series": (product_expand(theorem_2, 4).to_json(), TruncatedSeries,
                    lambda p: ["euler-factor", "--series", p]),
     }
@@ -112,6 +124,21 @@ def spoiled(draw, kind):
     return doc
 
 
+def _overran(signum, frame):
+    raise Overran(f"the command ran past {RUN_SECONDS} s")
+
+
+def _run_bounded(argv: list[str]) -> int:
+    """cli.main(argv), interrupted by Overran after RUN_SECONDS."""
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _check(kind, doc, tmp_path):
     _, loader, argv = DOCUMENTS[kind]
     try:
@@ -122,7 +149,7 @@ def _check(kind, doc, tmp_path):
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--format", "json", *argv(str(path))])
+        code = _run_bounded(["--format", "json", *argv(str(path))])
     report = json.loads(out.getvalue())
     assert code in (0, 1, 2), err.getvalue()
     if code == 1:
@@ -138,7 +165,7 @@ def test_unspoiled_documents_load_and_run(kind, tmp_path):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
     with redirect_stdout(io.StringIO()):
-        assert main(argv(str(path))) == 0
+        assert _run_bounded(argv(str(path))) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))

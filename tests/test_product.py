@@ -106,15 +106,20 @@ def test_single_factor_positive_exponent_terminates():
     assert f.coefficient(8).is_zero()
 
 
-def test_q0_factor_requires_degmax_only_when_infinite():
-    # (1 + a)^(-1) never terminates without a degree cap
-    with pytest.raises(ProductSpecError):
-        _single(-1, Monomial.var("a"), 0, -1, 5)
+def test_q0_factor_requires_degmax_for_either_sign():
+    # (1 + a)^(-1) never terminates without a degree cap, and (1 + a)^P
+    # would cost P + 1 terms whatever qmax is: one rule refuses both
+    for exponent in (-1, 1, 10 ** 6):
+        with pytest.raises(ProductSpecError, match="needs a degmax cap"):
+            _single(-1, Monomial.var("a"), 0, exponent, 5)
     f = _single(-1, Monomial.var("a"), 0, -1, 5, degmax=2)
     assert f.coefficient(0) == poly({"1": 1, "a": -1, "a^2": 1})
-    # (1 + a)^(+1) terminates on its own
-    g = _single(-1, Monomial.var("a"), 0, 1, 5)
+    g = _single(-1, Monomial.var("a"), 0, 1, 5, degmax=2)
     assert g.coefficient(0) == poly({"1": 1, "a": 1})
+    # under the cap, a huge finite power takes only degmax + 1 terms
+    h = _single(-1, Monomial.var("a"), 0, 10 ** 6, 5, degmax=2)
+    assert h.coefficient(0) == poly({"1": 1, "a": 10 ** 6,
+                                     "a^2": 10 ** 6 * (10 ** 6 - 1) // 2})
 
 
 def test_start_zero_family_expands_once_at_zero():

@@ -176,9 +176,9 @@ def test_product_expand_matches_sympy(fs, qmax, degmax):
 @st.composite
 def factor_st(draw, powers, degmax: int | None) -> ProductFactor:
     """A factor family; it may start at q^0 when its monomial carries a
-    colour and it terminates there: finite, or cut by degmax."""
+    colour and degmax cuts it there."""
     mono, power = draw(monomials), draw(powers)
-    lowest = 0 if mono.degree and (degmax is not None or power <= 0) else 1
+    lowest = 0 if mono.degree and degmax is not None else 1
     return ProductFactor(draw(st.sampled_from([1, -1])), mono,
                          draw(st.integers(lowest, 3)), draw(st.integers(1, 3)),
                          power)

@@ -1,11 +1,15 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 77 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 83 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
 
 * ``verify`` on every identity at its own order;
+* ``verify`` with the dilation engine and one other engine past the
+  registered orders, on all six identities that have a dilation
+  (theorem-1/4/5 at q120, theorem-7 and primc-conjecture at q80,
+  schur-dilated at q90);
 * ``expand --qmax 20`` on every product side, and ``euler-factor`` on the
   document each ``expand`` printed;
 * ``enumerate --qmax 14 --degmax 14`` and ``enumerate --list 8 --degmax 8``
@@ -49,6 +53,11 @@ print(json.dumps({
 }))
 """
 
+HIGH_ORDER = (("theorem-1", "recurrence", "120"), ("theorem-4", "product", "120"),
+              ("theorem-5", "product", "120"), ("theorem-7", "product", "80"),
+              ("primc-conjecture", "product", "80"),
+              ("schur-dilated", "product", "90"))
+
 DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"),
             ("schur-weighted", "12"),
             ("schur-dilated-mod3", "2", "--max-exponent", "1"))
@@ -69,6 +78,8 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
     reg = json.loads(listing.stdout)
     presets = [p.replace("(r)", "(2)") for p in reg["presets"]]
     cmds = [["verify", name] for name, _ in reg["identities"]]
+    cmds += [["verify", name, "--engines", f"dilation,{other}", "--qmax", q]
+             for name, other, q in HIGH_ORDER]
     saved = {}
     for name, has_product in reg["identities"]:
         if has_product:

@@ -82,6 +82,14 @@ def _json_str(value: object) -> str:
     return value
 
 
+def _json_strs(value: object) -> tuple[str, ...]:
+    """A list of strings read from JSON: a bare string is refused rather
+    than read as its characters."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(map(_json_str, value))
+
+
 def _json_bool(value: object) -> bool:
     """A boolean read from JSON: strings and numbers are refused rather
     than coerced."""

@@ -299,8 +299,8 @@ def search_relations(system: ColouredSystem,
                      max_exponent: int = 2) -> list[RelationCandidate]:
     """Search substitutions of free colours that make the series a product.
 
-    Every colour variable of ``system`` not listed in ``primaries`` is free;
-    each free variable independently ranges over monomials
+    Every colour variable of ``system`` neither listed in ``primaries`` nor
+    erased is free; each free variable independently ranges over monomials
     ``prod(primary ** e)`` with ``0 <= e <= max_exponent``.  Primaries are
     never substituted.  The system's series is enumerated once to order
     ``qmax``.  Candidates that pass the invariant filter of its Euler
@@ -320,7 +320,7 @@ def search_relations(system: ColouredSystem,
     prims = list(primaries)
     if not prims or len(set(prims)) != len(prims):
         raise DiscoveryError("primaries must be a non-empty list of distinct variables")
-    free = sorted(set(system.variables()) - set(prims))
+    free = sorted(set(system.variables()) - set(prims) - set(system.erased_vars))
 
     per_var = (max_exponent + 1) ** len(prims)
     total = per_var ** len(free)

@@ -198,18 +198,15 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
     """Generating function sum(weight * q^size) over all valid partitions,
     truncated beyond q^qmax, by direct enumeration.
 
-    Weight degrees are bounded by degmax *before* erased variables are set
-    to 1; erasure happens on the final series.
+    The weights are ``part_weight``'s, so erased variables never enter the
+    codes, and degmax bounds the degree of the variables the series keeps.
     """
     # each step adds exponents below the bound, and every prefix of a
     # partition is one too: before a field of a sum could carry into the
     # next, a prefix holds an exponent at the bound, and decoding raises
     buckets = _decode_buckets(
         _walk(sys, qmax, degmax, lambda p: sys.part_weight(p)._code, 0))
-    series = TruncatedSeries(buckets, degmax)
-    if sys.erased_vars:
-        series = series.specialize({v: 1 for v in sys.erased_vars})
-    return series
+    return TruncatedSeries(buckets, degmax)
 
 
 def list_partitions(sys: ColouredSystem, n: int,

@@ -17,17 +17,17 @@ rank order, each part the new smallest one; it answers no G/E lookups but
 builds the full generating function (everything with size <= qmax)
 faster, so ``dp_series`` uses it.
 
-Erased variables are set to 1 in the part weights when there is no degree
-cap, so they never enter the tables.  Under a cap their degree still counts
-against it, so the tables keep them and each lookup sets them to 1.
+Part weights come from ``ColouredSystem.part_weight``, which sets erased
+variables to 1: they never enter the tables, and a degree cap counts only
+the variables the series keeps, as in every other engine.
 
 Under a dilation (``dp_series(..., dilation=d)``) the tables are graded by
 dilated size: a term mu*q^n sits at g = m*n + sum of shift(v)*exponent(v),
-where ``substitute`` sends it once erased variables are set to 1, and
-nothing past qmax is built.  g adds up over parts, so while no part's g is
-negative a chain past qmax stays past it.  A part past qmax, below 0, or at
-0 without degmax, which ``substitute`` drops or refuses, keeps only its
-one-part term, and the total is graded back by size.
+where ``substitute`` sends it, and nothing past qmax is built.  g adds up
+over parts, so while no part's g is negative a chain past qmax stays past
+it.  A part past qmax, below 0, or at 0 without degmax, which
+``substitute`` drops or refuses, keeps only its one-part term, and the
+total is graded back by size.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -76,9 +76,9 @@ class RecurrenceState:
     order, which answer G/E lookups; "smallest" builds smallest-part tables
     in reverse rank order, which give only the total series.  G is answered
     from prefix sums of the E tables, cached by the number of parts they
-    cover.  Erased variables leave the part weights when degmax is None;
-    with a cap they are set to 1 on each lookup.  A ``dilation`` grades the
-    tables by dilated size and keeps only the total (see the module
+    cover.  The part weights leave out erased variables, so the tables,
+    the lookups and a degree cap never see them.  A ``dilation`` grades
+    the tables by dilated size and keeps only the total (see the module
     docstring).
     """
 
@@ -95,17 +95,13 @@ class RecurrenceState:
         self.degmax = degmax
         self.direction = direction
         self.dilation = dilation
-        # erased variables are set to 1: in the part weights, unless a
-        # degree cap must still count their degree, and then on each lookup
-        self._erase_on_lookup = degmax is not None and bool(sys.erased_vars)
         self._E: list[list[dict]] = []
         self._total: list[dict] = _one_buckets(qmax)
-        self._series_cache: dict[int, TruncatedSeries] = {}
         self._build()
-        # G by the number of parts it covers: (prefix sum, its series); the
-        # series never shares the buckets that longer prefixes start from
-        self._g_cache: dict[int, tuple[list[dict], TruncatedSeries]] = {
-            0: (_one_buckets(qmax), self._finish(_one_buckets(qmax)))}
+        # G by the number of parts it covers; each series owns its buckets,
+        # which a longer prefix copies before adding to them
+        self._g_cache: dict[int, TruncatedSeries] = {
+            0: TruncatedSeries.one(qmax, degmax)}
 
     # -- construction -------------------------------------------------------
 
@@ -115,23 +111,18 @@ class RecurrenceState:
         if d is None:
             return n
         return d.modulus * n + sum(d.var_shifts.get(v, 0) * e
-                                   for v, e in mono.items
-                                   if v not in self.sys.erased_vars)
+                                   for v, e in mono.items)
 
     def _build(self) -> None:
         sys, qmax, degmax = self.sys, self.qmax, self.degmax
-        parts = sys.parts_up_to(qmax)
-        if degmax is not None:
-            parts = [p for p in parts if sys.part_weight(p).degree <= degmax]
-        # each part's weight, less its erased variables when no lookup
-        # erases them, and the power of q its one-part term sits at
-        drop = () if self._erase_on_lookup else sys.erased_vars
+        # each part within degmax: its weight and the power of q its
+        # one-part term sits at
         placed = {}
         self._outside: list[tuple[int, Monomial]] = []
-        for p in parts:
+        for p in sys.parts_up_to(qmax):
             w = sys.part_weight(p)
-            if drop:
-                w = Monomial((v, e) for v, e in w.items if v not in drop)
+            if degmax is not None and w.degree > degmax:
+                continue
             g = self._grade(p.size, w)
             if 0 < g <= qmax or (g == 0 and degmax is not None):
                 placed[p] = w, g
@@ -198,15 +189,9 @@ class RecurrenceState:
 
     # -- lookups --------------------------------------------------------------
 
-    def _finish(self, buckets: list[dict]) -> TruncatedSeries:
-        series = TruncatedSeries(buckets, self.degmax)
-        if self._erase_on_lookup:
-            series = series.specialize({v: 1 for v in self.sys.erased_vars})
-        return series
-
     def total_series(self) -> TruncatedSeries:
         if self.dilation is None:
-            return self._finish(self._total)
+            return TruncatedSeries(self._total, self.degmax)
         # graded back by size, n = (g - shift(mono)) / m, with the one-part
         # terms of the parts the tables leave out
         buckets = _zero_buckets(self.qmax)
@@ -217,7 +202,7 @@ class RecurrenceState:
                     buckets[n][mono] = c
         for n, w in self._outside:
             buckets[n][w] = buckets[n].get(w, 0) + 1
-        return self._finish(buckets)
+        return TruncatedSeries(buckets, self.degmax)
 
     def parts(self) -> list[ColouredPart]:
         return list(self._parts)
@@ -232,11 +217,7 @@ class RecurrenceState:
         if idx is None:
             self.sys.colour(colour)  # unknown colour -> error
             return TruncatedSeries.zero(self.qmax, self.degmax)
-        cached = self._series_cache.get(idx)
-        if cached is None:
-            cached = self._finish(self._E[idx])
-            self._series_cache[idx] = cached
-        return cached
+        return TruncatedSeries(self._E[idx], self.degmax)
 
     def G(self, size: int, colour: str) -> TruncatedSeries:
         """Series for partitions with every part of rank <= rank(size_colour).
@@ -257,12 +238,11 @@ class RecurrenceState:
         if cached is None:
             # the nearest shorter cached prefix plus the E tables in between
             start = max(m for m in self._g_cache if m < n)
-            buckets = [dict(b) for b in self._g_cache[start][0]]
+            buckets = [dict(b) for b in self._g_cache[start]._b]
             for E_p in self._E[start:n]:
                 _add_shifted(buckets, E_p)
-            series = self._finish([dict(b) for b in buckets])
-            cached = self._g_cache[n] = (buckets, series)
-        return cached[1]
+            cached = self._g_cache[n] = TruncatedSeries(buckets, self.degmax)
+        return cached
 
     def _require_largest(self) -> None:
         if self.direction != "largest" or self.dilation is not None:

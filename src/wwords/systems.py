@@ -20,7 +20,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Monomial, SubstitutionMap, _json_bool, _json_int
+from .algebra import Monomial, SubstitutionMap, _json_bool, _json_int, _json_strs
 
 
 class SystemSpecError(ValueError):
@@ -408,19 +408,20 @@ class ColouredSystem:
 
     def check_termination(self, degmax: int | None) -> None:
         """Size-0 parts can repeat without raising the size, so the engines
-        stop only on a colour-degree cap, and only if every size-0 part
-        carries a colour."""
-        if not self.has_zero_parts:
+        stop only on a colour-degree cap, and only if the weight of every
+        size-0 part keeps a variable once erased variables are set to 1."""
+        zero_parts = self.parts_up_to(0)
+        if not zero_parts:
             return
         if degmax is None:
             raise SystemSpecError(
                 "system admits size-0 parts: a degree bound (degmax) is "
                 "needed for the engines to terminate")
-        for c in self.colours:
-            if c.domain.contains(0) and c.weight.degree == 0:
+        for p in zero_parts:
+            if self.part_weight(p).degree == 0:
                 raise SystemSpecError(
-                    f"colour {c.label!r} has size-0 parts of weight 1: "
-                    "the engines cannot terminate")
+                    f"colour {p.colour!r} has size-0 parts of weight 1 "
+                    "(erased variables set to 1): the engines cannot terminate")
 
     # -- parts --------------------------------------------------------------
 
@@ -438,7 +439,11 @@ class ColouredSystem:
         return None
 
     def part_weight(self, part: ColouredPart) -> Monomial:
+        """The colour weight less the erased variables, times the overline
+        marker on a plain part: the one weight every engine builds from."""
         w = self.colour(part.colour).weight
+        if self.erased_vars:
+            w = Monomial((v, e) for v, e in w.items if v not in self.erased_vars)
         if self.overline_marker and not part.over:
             w = w * Monomial.var(self.overline_marker)
         return w
@@ -485,6 +490,10 @@ class ColouredSystem:
     @classmethod
     def from_json(cls, data: dict) -> "ColouredSystem":
         colours = tuple(ColourDef.from_json(c) for c in data["colours"])
+        erased = _json_strs(data.get("erased", []))
+        unknown = set(erased) - {v for c in colours for v, _ in c.weight.items}
+        if unknown:
+            raise ValueError(f"erased {sorted(unknown)} carried by no colour weight")
         return cls(
             name=data.get("name", "custom"),
             colours=colours,
@@ -493,7 +502,7 @@ class ColouredSystem:
             forbidden_parts=frozenset((_json_int(s), c)
                                       for s, c in data.get("forbidden", ())),
             overline_marker=data.get("overline_marker"),
-            erased_vars=tuple(data.get("erased", ())),
+            erased_vars=erased,
             description=data.get("description", ""),
         )
 

@@ -231,18 +231,13 @@ def _compare_all(series: list[tuple[str, TruncatedSeries]]
 
 
 def _check_cap(case: IdentityCase, qmax: int, degmax: int) -> None:
-    """Refuse a degree cap below ``qmax`` when some side drops variables
-    after the cap is applied."""
-    names = {case.side_b, case.side_a, case.dilation_of,
-             *(case.conventions or {}).values()} - {None}
-    dropped = sorted({v for name in names
-                      for v in build_preset(name).erased_vars}
-                     | set(case.specialize or ()))
-    if dropped:
+    """Refuse a degree cap below ``qmax`` when the case specializes
+    variables after the cap is applied."""
+    if case.specialize:
         raise VerificationError(
-            f"degmax={degmax} is below qmax={qmax}, but {case.name} erases "
-            f"or specializes {', '.join(dropped)}: the cap would count their "
-            "degree on one side only; use degmax >= qmax or no cap")
+            f"degmax={degmax} is below qmax={qmax}, but {case.name} "
+            f"specializes {', '.join(sorted(case.specialize))}: the cap would "
+            "count their degree on one side only; use degmax >= qmax or no cap")
 
 
 def verify_identity(case: IdentityCase | str, qmax: int | None = None,
@@ -254,8 +249,10 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
     defaults to every engine applicable to the case; requesting an
     inapplicable one raises :class:`VerificationError` listing the
     applicable set.  So does a ``degmax`` below ``qmax`` on a case that
-    erases or specializes variables: the cap counts their degree on one
-    side only, which would report a mismatch that is not there.
+    specializes variables: the cap counts their degree on one side only,
+    which would report a mismatch that is not there.  Erased variables
+    need no such refusal: they leave the part weights, so every engine
+    counts the same degree.
     """
     if isinstance(case, str):
         case = identity_case(case)

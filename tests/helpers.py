@@ -7,7 +7,8 @@ to coefficients: ``series({0: {"1": 1}, 2: {"a": 1, "a*b": -2}}, 4)`` is
 1 + (a - 2ab) q^2 through q^4.
 
 ``random_system`` generates the small matrix-gap systems that the
-randomized tests run over.
+randomized tests run over, and ``erased_zero_system`` is one that the
+engines refuse.
 """
 
 from __future__ import annotations
@@ -104,12 +105,25 @@ def random_system(rng: random.Random, index: int) -> ColouredSystem | None:
                 for upper, cols in rows.items()}
     gap = MatrixGap(rows)
     order = rng.sample(range(len(labels)), len(labels))
+    # erasing b would give a size-0 part of weight b weight 1, which the
+    # engines refuse; the draw is still made, so later systems stay the same
+    erase = rng.random() < 0.3 and not any(
+        c.domain.contains(0) and c.weight == Monomial.var("b") for c in colours)
     try:
         return ColouredSystem(
             name=f"random-{index}", colours=tuple(colours), gap=gap,
             rank_rule=RankRule(len(labels), dict(zip(labels, order))),
             overline_marker="t" if overlines else None,
-            erased_vars=("b",) if rng.random() < 0.3 else (),
+            erased_vars=("b",) if erase else (),
         )
     except SystemSpecError:
         return None
+
+
+def erased_zero_system() -> ColouredSystem:
+    """One colour of size-0 parts weighing only the erased b."""
+    return ColouredSystem(
+        name="erased-zero",
+        colours=(ColourDef("a", Monomial.var("b"), SizeDomain(0)),),
+        gap=MatrixGap({"a": {"a": 0}}), rank_rule=RankRule(1, {"a": 0}),
+        erased_vars=("b",))

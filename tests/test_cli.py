@@ -24,6 +24,8 @@ from wwords.algebra import EXPONENT_BOUND
 from wwords.cli import main
 from wwords.recurrence import builtin_equation
 
+from helpers import erased_zero_system
+
 B2_MATRIX = {
     "a": {"a": 4, "b": 1, "c": 3, "d": 2},
     "b": {"a": 3, "b": 0, "c": 2, "d": 1},
@@ -163,18 +165,31 @@ class TestVerify:
         assert "statistic" in err
 
     @pytest.mark.parametrize("argv,degmax,qmax", [
-        (["theorem-6", "--qmax", "28"], 25, 28),
+        (["primc-conjecture", "--qmax", "28", "--degmax", "25"], 25, 28),
         (["primc-conjecture", "--qmax", "8", "--degmax", "3"], 3, 8),
         (["theorem-1", "--qmax", "20", "--degmax", "3"], 3, 20),
     ])
     def test_cap_below_qmax_on_dropped_variables_is_usage_error(
             self, argv, degmax, qmax):
-        # erased or specialized variables count against the cap on one
-        # side only, so these runs once reported a mismatch (exit 1)
+        # specialized variables count against the cap on one side only,
+        # so these runs once reported a mismatch (exit 1)
         code, out, err = run(["verify", *argv])
         assert code == 2
         assert f"degmax={degmax}" in err and f"qmax={qmax}" in err
+        assert "specializes" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-6", "--qmax", "12", "--degmax", "5"],
+        ["check-eq", "primc-eg", "--qmax", "12", "--degmax", "3"],
+        ["check-eq", "primc-qdiff", "--qmax", "12", "--degmax", "2"],
+    ])
+    def test_cap_below_qmax_on_erased_variables_holds(self, argv):
+        # erased variables leave the part weights, so the cap counts the
+        # same degree on both sides; these runs once exited 2 or 1
+        code, doc, err = run_json(argv)
+        assert code == 0, err
+        assert doc.get("equal", doc.get("holds")) is True
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +290,15 @@ class TestEnumerate:
                               "--degmax", "2"])
         assert code == 2 and out == ""
         assert "negative size -1" in err
+
+    def test_size_zero_parts_of_erased_weight_is_engine_error(self, tmp_path):
+        # a size-0 part that weighs only an erased variable repeats without end
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(erased_zero_system().to_json()))
+        code, out, err = run(["enumerate", str(path), "--qmax", "3",
+                              "--degmax", "3"])
+        assert code == 2 and out == ""
+        assert "size-0 parts of weight 1" in err
 
     def test_parametric_preset(self):
         code, doc, _ = run_json(["enumerate", "primary-overpartitions(1)",
@@ -576,6 +600,12 @@ def _good_input(kind):
                  id="system-string-modulus"),
     pytest.param("system", lambda d: d["gap"].update(rows=[]),
                  id="system-rows-list"),
+    pytest.param("system", lambda d: d.update(erased="bc"),
+                 id="system-string-erased"),
+    pytest.param("system", lambda d: d.update(erased=["bb"]),
+                 id="system-uncarried-erased"),
+    pytest.param("system", lambda d: d.update(erased=[1]),
+                 id="system-number-erased"),
     pytest.param("product", lambda d: d[0].pop("start"),
                  id="product-no-start"),
     pytest.param("product", lambda d: d[1].update(power="x"),

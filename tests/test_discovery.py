@@ -197,6 +197,16 @@ class TestSearchRelations:
             assert cand.product_like is (period is not None)
             assert cand.period == period
 
+    def test_erased_variables_are_not_free(self):
+        # primc's b is erased, so only d is free: one candidate per image
+        # of d, where listing b as free repeated each once per image of b
+        cands = search_relations(build_preset("primc-weighted"), ["a", "c"],
+                                 12, max_exponent=1)
+        assert [dict(c.substitution) for c in cands] == [
+            {"d": Monomial.one()}, {"d": mono(a=1)}, {"d": mono(c=1)},
+            {"d": mono(a=1, c=1)}]
+        assert all(c.product_like for c in cands)
+
     def test_erasure_alone_is_not_product_like_here(self):
         [cand] = search_relations(build_preset("schur-dilated-mod3"),
                                   ["a", "b"], 18, max_exponent=0)

@@ -252,6 +252,20 @@ def test_builtin_equation_holds(name, states):
     assert report.to_json()["holds"] is True
 
 
+@pytest.mark.parametrize("degmax", [2, 5])
+def test_builtin_equations_hold_under_a_degree_cap(degmax):
+    # primc's erased b leaves the part weights, so a cap below qmax counts
+    # the same degree in every G and E (primc-eg and primc-qdiff once failed)
+    states = {}
+    for eq in builtin_equations():
+        if eq.system not in states:
+            states[eq.system] = RecurrenceState(build_preset(eq.system), 14, degmax)
+        state = states[eq.system]
+        report = check_equation(eq, sys=state.sys, qmax=14, degmax=degmax,
+                                state=state)
+        assert report.holds, (eq.name, report.failures)
+
+
 def test_two_colour_recurrences_hold_to_high_order():
     sys = build_preset("schur-weighted")
     state = RecurrenceState(sys, 40)

@@ -1,5 +1,7 @@
 """Tests for coloured-system definitions, presets, orders, gaps, dilation."""
 
+import dataclasses
+
 import pytest
 
 from wwords import (
@@ -26,6 +28,8 @@ from wwords.systems import (
     andrews_colour_label,
     preset_dilation,
 )
+
+from helpers import erased_zero_system
 
 
 def P(size, colour, over=False):
@@ -358,6 +362,34 @@ def test_four_colour_weighted_gaps_and_marker():
     assert [v for v in sys.variables()
             if v not in sys.erased_vars] == ["a", "c", "d"]
     assert "b" in sys.variables()
+
+
+def test_part_weight_leaves_out_erased_variables():
+    sys = build_preset("primc-weighted")
+    assert sys.part_weight(ColouredPart(3, "b")) == Monomial.one()
+    assert sys.part_weight(ColouredPart(3, "a")) == Monomial.var("a")
+    assert sys.colour("b").weight == Monomial.var("b")
+
+
+def test_erased_variables_read_from_json_must_be_carried():
+    data = build_preset("primc-weighted").to_json()
+    data["erased"] = ["b", "c"]
+    assert ColouredSystem.from_json(data).erased_vars == ("b", "c")
+    data["erased"] = ["bb"]
+    with pytest.raises(ValueError, match=r"\['bb'\] carried by no colour weight"):
+        ColouredSystem.from_json(data)
+
+
+def test_size_zero_parts_of_erased_weight_refused():
+    # the size-0 part weighs 1 once b is erased, so it repeats at no cost in
+    # size or degree: the erased series has an infinite q^0 coefficient,
+    # which no cap bounds
+    sys = erased_zero_system()
+    for engine in (enumerate_series, dp_series):
+        with pytest.raises(SystemSpecError, match="size-0 parts of weight 1"):
+            engine(sys, 4, 3)
+    kept = dataclasses.replace(sys, erased_vars=())
+    assert enumerate_series(kept, 4, 3) == dp_series(kept, 4, 3)
 
 
 # ---------------------------------------------------------------------------

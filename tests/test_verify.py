@@ -415,26 +415,34 @@ def test_theorem_8_sides_differ_as_systems_but_agree_as_series():
     assert report.degmax == 6
 
 
-# cases with a side that erases variables or with a specialization
-DROPPING_CASES = ("theorem-1", "theorem-6", "theorem-7", "primc-conjecture")
+# cases that specialize variables after the cap is applied
+DROPPING_CASES = ("theorem-1", "primc-conjecture")
 
 
 def test_dropping_cases_are_listed():
-    def drops(case):
-        names = (case.side_b, case.side_a, case.dilation_of,
-                 *(case.conventions or {}).values())
-        return bool(case.specialize) or any(
-            build_preset(n).erased_vars for n in names if n is not None)
-    assert {n for n, c in identity_cases().items() if drops(c)} == set(
+    assert {n for n, c in identity_cases().items() if c.specialize} == set(
         DROPPING_CASES)
 
 
 @pytest.mark.parametrize("name", DROPPING_CASES)
 def test_degree_cap_below_qmax_refused_when_variables_drop(name):
-    # the cap counts erased or specialized degree on one side only
+    # the cap counts specialized degree on one side only
     with pytest.raises(VerificationError, match="degmax=3 is below qmax=10"):
         verify_identity(name, qmax=10, degmax=3)
     assert verify_identity(name, qmax=10, degmax=10).equal is True
+
+
+@pytest.mark.parametrize("name", ["theorem-6", "theorem-7"])
+def test_degree_cap_below_qmax_holds_on_erased_cases(name):
+    # erased variables leave the part weights, so every engine counts the
+    # same degree and a cap below qmax is faithful inside its window
+    case = identity_case(name)
+    report = verify_identity(name, qmax=16, degmax=6)
+    assert report.equal is True, report.first_mismatch
+    assert report.engines == case.applicable_engines()
+    side_b = build_preset(case.side_b)
+    assert enumerate_series(side_b, 16, 6) == \
+        enumerate_series(side_b, 16).cap_degree(6)
 
 
 def test_explicit_degmax_override_is_reported():

@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 83 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 87 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -20,7 +20,10 @@ byte-identical JSON and the same exit codes on every run:
   schur-weighted at q12 (no free colour) and on schur-dilated-mod3 at q2
   with ``--max-exponent 1`` (a window too short for any period);
 * ``dilate`` on every distinct (system, dilation) pair the identities'
-  dilation engine uses.
+  dilation engine uses;
+* runs with ``--degmax`` below ``--qmax`` on primc-weighted, which erases
+  ``b``: ``verify`` theorem-6 and theorem-7, ``check-eq primc-eg`` and
+  ``enumerate``.
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
@@ -62,6 +65,11 @@ DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"),
             ("schur-weighted", "12"),
             ("schur-dilated-mod3", "2", "--max-exponent", "1"))
 
+ERASED_CAPPED = (("verify", "theorem-6", "--qmax", "16", "--degmax", "6"),
+                 ("verify", "theorem-7", "--qmax", "20", "--degmax", "6"),
+                 ("check-eq", "primc-eg", "--qmax", "16", "--degmax", "4"),
+                 ("enumerate", "primc-weighted", "--qmax", "10", "--degmax", "3"))
+
 
 def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -95,6 +103,7 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
              for system, q, *more in DISCOVER]
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
              for system, m, shifts in reg["dilations"]]
+    cmds += [list(cmd) for cmd in ERASED_CAPPED]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 

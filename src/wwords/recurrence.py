@@ -22,12 +22,12 @@ variables to 1: they never enter the tables, and a degree cap counts only
 the variables the series keeps, as in every other engine.
 
 Under a dilation (``dp_series(..., dilation=d)``) the tables are graded by
-dilated size: a term mu*q^n sits at g = m*n + sum of shift(v)*exponent(v),
-where ``substitute`` sends it, and nothing past qmax is built.  g adds up
-over parts, so while no part's g is negative a chain past qmax stays past
-it.  A part past qmax, below 0, or at 0 without degmax, which
-``substitute`` drops or refuses, keeps only its one-part term, and the
-total is graded back by size.
+dilated size: a part of size n and weight mu sits at g = m*n + sum of
+shift(v)*exponent(v) over mu, the size of its dilated part, and the total
+is the series of the dilated system.  The tables take exactly the parts
+with g in 0..qmax, and refuse a part with g < 0, or with g = 0 and no
+degmax, as the dilated system itself is refused; so no g is negative, and
+a chain past qmax stays past it.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -49,11 +49,13 @@ from .algebra import (
     _json_bool,
     _json_int,
     _json_str,
+    _json_strs,
     _one_buckets,
     _zero_buckets,
     substitute,
 )
-from .systems import ColouredPart, ColouredSystem, DilationSpec, build_preset
+from .systems import (ColouredPart, ColouredSystem, DilationSpec,
+                      SystemSpecError, build_preset)
 
 
 class RecurrenceError(ValueError):
@@ -89,7 +91,8 @@ class RecurrenceState:
             raise ValueError("qmax must be >= 0")
         if direction not in ("largest", "smallest"):
             raise ValueError(f"unknown direction {direction!r}")
-        sys.check_termination(degmax)
+        if dilation is None:
+            sys.check_termination(degmax)
         self.sys = sys
         self.qmax = qmax
         self.degmax = degmax
@@ -105,29 +108,27 @@ class RecurrenceState:
 
     # -- construction -------------------------------------------------------
 
-    def _grade(self, n: int, mono: Monomial) -> int:
-        """The power of q a term mono*q^n sits at: n, or its dilated size."""
-        d = self.dilation
-        if d is None:
-            return n
-        return d.modulus * n + sum(d.var_shifts.get(v, 0) * e
-                                   for v, e in mono.items)
-
     def _build(self) -> None:
         sys, qmax, degmax = self.sys, self.qmax, self.degmax
-        # each part within degmax: its weight and the power of q its
-        # one-part term sits at
+        # a part sits at its dilated size g = m*size + offset(weight); with
+        # no dilation, the identity's g is the size.  g rises with size along
+        # each colour, plain or overlined, so the least offset bounds the
+        # sizes of every part with g <= qmax
+        d = self.dilation or DilationSpec(1, {})
+        offsets = [d.offset_of(sys.part_weight(ColouredPart(0, c.label, over)))
+                   for c in sys.colours for over in (False, True)]
+        # each part with g <= qmax and within degmax: its weight and g
         placed = {}
-        self._outside: list[tuple[int, Monomial]] = []
-        for p in sys.parts_up_to(qmax):
+        for p in sys.parts_up_to((qmax - min(offsets, default=0)) // d.modulus):
             w = sys.part_weight(p)
-            if degmax is not None and w.degree > degmax:
-                continue
-            g = self._grade(p.size, w)
-            if 0 < g <= qmax or (g == 0 and degmax is not None):
+            g = d.modulus * p.size + d.offset_of(w)
+            if g < 0 or (g == 0 and (degmax is None or w.degree == 0)):
+                raise SystemSpecError(
+                    f"part {p} dilates to size {g}, which the dilated system "
+                    "refuses: a negative size, or a size-0 part without a "
+                    "degree bound (degmax) or of weight 1")
+            if g <= qmax and (degmax is None or w.degree <= degmax):
                 placed[p] = w, g
-            else:  # only under a dilation: see the module docstring
-                self._outside.append((p.size, w))
         parts = list(placed)
         # sign +1 takes parts in rank order, each the new largest part, with
         # the next part below as its neighbour; sign -1 takes them in reverse
@@ -190,19 +191,7 @@ class RecurrenceState:
     # -- lookups --------------------------------------------------------------
 
     def total_series(self) -> TruncatedSeries:
-        if self.dilation is None:
-            return TruncatedSeries(self._total, self.degmax)
-        # graded back by size, n = (g - shift(mono)) / m, with the one-part
-        # terms of the parts the tables leave out
-        buckets = _zero_buckets(self.qmax)
-        for g, bucket in enumerate(self._total):
-            for mono, c in bucket.items():
-                n = (g - self._grade(0, mono)) // self.dilation.modulus
-                if n <= self.qmax:
-                    buckets[n][mono] = c
-        for n, w in self._outside:
-            buckets[n][w] = buckets[n].get(w, 0) + 1
-        return TruncatedSeries(buckets, self.degmax)
+        return TruncatedSeries(self._total, self.degmax)
 
     def parts(self) -> list[ColouredPart]:
         return list(self._parts)
@@ -256,8 +245,9 @@ def dp_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
               dilation: DilationSpec | None = None) -> TruncatedSeries:
     """Full generating function up to q^qmax via the recurrence engine, in
     the smallest-part order: a total needs no G/E lookups.  With a
-    ``dilation``, it holds the terms the dilation sends to q^qmax or below
-    and the one-part term of every part (see the module docstring)."""
+    ``dilation``, the generating function of the dilated system up to
+    q^qmax, with the shifts of erased variables read as 0 (see the module
+    docstring)."""
     return RecurrenceState(sys, qmax, degmax, "smallest",
                            dilation).total_series()
 
@@ -437,8 +427,7 @@ class EquationSpec:
             kmax_default=_json_int(data.get("kmax_default", data["kmin"])),
             lhs=tuple(EqTerm.from_json(t) for t in data["lhs"]),
             rhs=tuple(EqTerm.from_json(t) for t in data["rhs"]),
-            colours=(tuple(map(_json_str, data["colours"]))
-                     if data.get("colours") else None),
+            colours=_json_strs(data.get("colours", [])) or None,
             note=_json_str(data.get("note", "")),
         )
 

@@ -20,7 +20,8 @@ from functools import cache
 from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Monomial, SubstitutionMap, _json_bool, _json_int, _json_strs
+from .algebra import (Monomial, SubstitutionMap, _json_bool, _json_int,
+                      _json_str, _json_strs)
 
 
 class SystemSpecError(ValueError):
@@ -274,8 +275,8 @@ class DilationSpec:
     q -> q^modulus and v -> v * q^var_shifts[v] (Siladic's theorem uses
     q -> q^4, a -> a*q^-3, b -> b*q^-1).
 
-    A colour's offset o_x (the amount added to m*size for colour x) follows
-    from its weight monomial: o_x = sum over weight variables of
+    The offset of a weight monomial (the amount added to m*size for a part
+    of that weight; o_x for colour x) is the sum over its variables of
     exponent * var_shift; a variable with no shift has shift 0.
     """
 
@@ -287,9 +288,9 @@ class DilationSpec:
             raise SystemSpecError("dilation modulus must be positive")
         object.__setattr__(self, "var_shifts", dict(self.var_shifts))
 
-    def offset_of(self, colour: ColourDef) -> int:
+    def offset_of(self, weight: Monomial) -> int:
         return sum(exp * self.var_shifts.get(name, 0)
-                   for name, exp in colour.weight.items)
+                   for name, exp in weight.items)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,10 @@ class ColouredSystem:
             if "~" in label or "|" in label:
                 raise SystemSpecError(f"colour label {label!r} holds '~' or '|', "
                                       "which mark gap-matrix columns and rows")
+        if any(v == self.overline_marker for c in self.colours
+               for v, _ in c.weight.items):
+            raise SystemSpecError(f"overline marker {self.overline_marker!r} "
+                                  "is also a colour weight variable")
         object.__setattr__(self, "_label_index", index)
         self._check_validity()
 
@@ -501,7 +506,8 @@ class ColouredSystem:
             rank_rule=RankRule.from_json(data["rank"]),
             forbidden_parts=frozenset((_json_int(s), c)
                                       for s, c in data.get("forbidden", ())),
-            overline_marker=data.get("overline_marker"),
+            overline_marker=(None if data.get("overline_marker") is None
+                             else _json_str(data["overline_marker"])),
             erased_vars=erased,
             description=data.get("description", ""),
         )
@@ -570,7 +576,7 @@ def dilate_system(sys: ColouredSystem, d: DilationSpec,
             f"dilation shifts {', '.join(map(repr, unknown))}, which no "
             f"colour weight of {sys.name!r} carries")
     m = d.modulus
-    offsets = {c.label: d.offset_of(c) for c in sys.colours}
+    offsets = {c.label: d.offset_of(c.weight) for c in sys.colours}
     new_colours = []
     for c in sys.colours:
         dom = c.domain.dilate(m, offsets[c.label])

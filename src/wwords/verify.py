@@ -18,9 +18,10 @@ Engines:
 ``product``
     expansion of the stated infinite product;
 ``dilation``
-    for a case whose system is the dilation of a weighted one: compute the
-    weighted series independently and push it through the matching
-    ``q -> q^m`` / colour q-shift substitution.
+    for a case whose system is the dilation of a weighted one: run the
+    recurrence on the weighted system with its tables graded by dilated
+    size, which gives the dilated series without building the dilated
+    system.
 
 A report never claims more than coefficient-level equality to the verified
 order; it is evidence, not a proof.
@@ -37,8 +38,7 @@ from .algebra import (Monomial, ProductFactor, ProductSpec, SubstitutionMap,
                       TruncatedSeries, product_expand, substitute)
 from .enumeration import _walk, enumerate_series, partition_weight
 from .recurrence import dp_series
-from .systems import (ColouredPart, DilationSpec, build_preset,
-                      preset_dilation, statistic_substitution)
+from .systems import ColouredPart, DilationSpec, build_preset, preset_dilation
 
 __all__ = [
     "ENGINES",
@@ -186,15 +186,9 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
             case, product_expand(case.product, qmax, degmax),
             qmax, b_side=False))]
     if engine == "dilation":
-        # every realizable part dilates to a size at least its weighted
-        # size, so the weighted series to the same order covers the window;
-        # its DP stops at dilated size qmax, which adds up over parts and is
-        # negative for no part that substitute accepts
-        base = dp_series(build_preset(case.dilation_of), qmax, degmax,
-                         case.dilation)
-        sub = statistic_substitution(case.dilation)
-        return [("dilation", _apply_tail(
-            case, substitute(base, sub, qmax, degmax), qmax, b_side=True))]
+        dilated = dp_series(build_preset(case.dilation_of), qmax, degmax,
+                            case.dilation)
+        return [("dilation", _apply_tail(case, dilated, qmax, b_side=True))]
     raise VerificationError(
         f"unknown engine {engine!r}; engines: {', '.join(ENGINES)}")
 

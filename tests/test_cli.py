@@ -300,6 +300,23 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "size-0 parts of weight 1" in err
 
+    @pytest.mark.parametrize("marker,reason", [
+        (5, "expected a string"), (["t"], "expected a string"),
+        (True, "expected a string"),
+        ("u1", "overline marker 'u1' is also a colour weight variable")])
+    def test_bad_overline_marker_is_refused(self, tmp_path, marker,
+                                            reason):
+        data = build_preset("primary-overpartitions(2)").to_json()
+        path = tmp_path / "system.json"
+        argv = ["enumerate", str(path), "--qmax", "3", "--degmax", "2"]
+        path.write_text(json.dumps(data))
+        assert run(argv)[0] == 0
+        data["overline_marker"] = marker
+        path.write_text(json.dumps(data))
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert reason in err and "Traceback" not in err
+
     def test_parametric_preset(self):
         code, doc, _ = run_json(["enumerate", "primary-overpartitions(1)",
                                  "--qmax", "5", "--degmax", "4"])
@@ -621,6 +638,8 @@ def _good_input(kind):
                  id="equation-list-system"),
     pytest.param("equation", lambda d: d["lhs"][0].update(colour=["a"]),
                  id="equation-list-colour"),
+    pytest.param("equation", lambda d: d.update(colours="ab"),
+                 id="equation-string-colours"),
     pytest.param("series", lambda d: d.update(qmax="q"),
                  id="series-word-qmax"),
     pytest.param("series", lambda d: d["coefficients"].append(5),

@@ -1,7 +1,7 @@
 """The series kernel seen through the engines: the recurrence on generated
 systems against enumeration and its G/E lookups against fresh sums,
-dilation against substitution, the DP cut at the dilated size against the
-full DP, specialization against direct evaluation, and product factors
+dilation against substitution, the DP under a dilation against the dilated
+system, specialization against direct evaluation, and product factors
 with large exponents."""
 
 import random
@@ -19,7 +19,6 @@ from wwords import (
     ProductFactor,
     ProductSpec,
     RecurrenceState,
-    SubstitutionError,
     SystemSpecError,
     TruncatedSeries,
     build_preset,
@@ -138,13 +137,15 @@ def test_construction_refuses_what_an_all_pairs_scan_refuses():
 
 
 def _assert_dilation_commutes(sys, d, qmax, degmax):
-    """Both engines on the dilated system equal the substituted series.
-    Shifts are non-negative, so the undilated series to qmax covers it."""
+    """Both engines on the dilated system, and the DP under the dilation,
+    equal the substituted series.  Shifts are non-negative, so the
+    undilated series to qmax covers it."""
     dilated = dilate_system(sys, d)
     expected = substitute(enumerate_series(sys, qmax, degmax),
                           statistic_substitution(d), qmax, degmax)
     assert enumerate_series(dilated, qmax, degmax) == expected
     assert dp_series(dilated, qmax, degmax) == expected
+    assert dp_series(sys, qmax, degmax, d) == expected
 
 
 def test_dilation_commutes_with_substitution_on_random_systems():
@@ -179,55 +180,38 @@ def test_overpartition_presets_dilate(name, modulus):
                               9, 3)
 
 
-def _dilation_engine(sys, d, qmax, degmax, cut):
-    """The weighted DP, cut at the dilated size or not, pushed through the
-    dilation's substitution: the series, or the SubstitutionError's text."""
-    base = dp_series(sys, qmax, degmax, d if cut else None)
-    try:
-        return substitute(base, statistic_substitution(d), qmax, degmax)
-    except SubstitutionError as exc:
-        return f"SubstitutionError: {exc}"
-
-
-def _hidden_guard(sys, d, qmax):
-    """Whether a part past the cut has colour degree above its size: the
-    term that trips substitute's degree guard lies where the cut prunes."""
-    for p in sys.parts_up_to(qmax):
-        w = sys.part_weight(p)
-        shift = sum(d.var_shifts.get(v, 0) * e for v, e in w.items
-                    if v not in sys.erased_vars)
-        degree = sum(e for v, e in w.items if v not in sys.erased_vars)
-        if degree > p.size and d.modulus * p.size + shift > qmax:
-            return True
-    return False
-
-
-def test_dp_cut_at_dilated_size_substitutes_like_the_full_dp():
-    """Cutting the DP at the dilated size changes neither the substituted
-    series nor whether substitute refuses: on generated systems with
+def test_dp_under_a_dilation_is_the_dilated_series():
+    """Under a dilation the DP gives the dilated system's series, or refuses
+    exactly where the dilated system is refused: on generated systems with
     negative, large and erased-variable shifts, with and without a degree
-    cap, both engines give the same series or both raise."""
+    cap.  The part weights leave erased variables out, so the oracle
+    dilates with their shifts set to 0."""
     rng = random.Random(1717)
     seen = Counter()
     for sys, qmax, own_degmax in _random_cases(31337):
         carried = sorted({v for c in sys.colours for v, _ in c.weight.items})
-        for degmax in ((own_degmax,) if sys.has_zero_parts
-                       else (None, own_degmax or 4)):
+        for degmax in (None, own_degmax or 4):
             shifts = {v: rng.choice([-2, -1, 0, 1, 2, qmax]) for v in carried}
             d = DilationSpec(rng.randrange(1, 5), shifts)
-            full = _dilation_engine(sys, d, qmax, degmax, cut=False)
-            cut = _dilation_engine(sys, d, qmax, degmax, cut=True)
-            assert (cut == full if isinstance(full, TruncatedSeries)
-                    else isinstance(cut, str)), (sys.to_json(), d, qmax, degmax)
-            seen["raised" if isinstance(full, str) else "equal"] += 1
-            seen["degree guard"] += "colour degree above" in str(full)
-            seen["guard past the cut"] += (degmax is None
-                                           and _hidden_guard(sys, d, qmax))
-            seen["negative shift, equal"] += (min(shifts.values(), default=0) < 0
-                                              and isinstance(full, TruncatedSeries))
-            seen["degmax" if degmax is not None else "no degmax"] += 1
+            d0 = DilationSpec(d.modulus, {v: 0 if v in sys.erased_vars else s
+                                          for v, s in shifts.items()})
+            try:
+                expected = enumerate_series(dilate_system(sys, d0), qmax, degmax)
+            except SystemSpecError as exc:
+                with pytest.raises(SystemSpecError):
+                    dp_series(sys, qmax, degmax, d)
+                seen["refused, " + ("size 0" if "size-0" in str(exc)
+                                    else "negative size")] += 1
+                continue
+            assert dp_series(sys, qmax, degmax, d) == expected, (
+                sys.to_json(), d, qmax, degmax)
+            seen["equal"] += 1
+            seen["negative shift"] += min(shifts.values(), default=0) < 0
+            seen["shift qmax"] += qmax in shifts.values()
             seen["erased, shifted"] += any(shifts.get(v) for v in sys.erased_vars)
-    assert min(seen.values()) >= 5 and len(seen) == 8, seen
+            seen["zero parts lifted"] += sys.has_zero_parts and degmax is None
+            seen["degmax" if degmax is not None else "no degmax"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 9, seen
 
 
 def _snapshot(f: TruncatedSeries) -> list[dict]:

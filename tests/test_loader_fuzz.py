@@ -60,6 +60,11 @@ def _documents():
     return {
         "system": (build_preset("distinct-odd").to_json(), ColouredSystem,
                    lambda p: ["enumerate", p, "--qmax", "3", "--degmax", "3"]),
+        # an overline marker and size-0 parts, which need the degree cap
+        "system-overlined": (build_preset("primary-overpartitions(1)").to_json(),
+                             ColouredSystem,
+                             lambda p: ["enumerate", p, "--qmax", "3",
+                                        "--degmax", "3"]),
         "equation": (builtin_equation("schur-rec-a").to_json(), EquationSpec,
                      lambda p: ["check-eq", p, "--qmax", "4", "--kmax", "3"]),
         "product": (theorem_2.to_json(), ProductSpec,

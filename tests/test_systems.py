@@ -380,6 +380,18 @@ def test_erased_variables_read_from_json_must_be_carried():
         ColouredSystem.from_json(data)
 
 
+def test_overline_marker_may_not_be_a_weight_variable():
+    # the marker multiplies every plain part, so sharing a name with a
+    # colour variable would count plain parts into that colour
+    sys = build_preset("primary-overpartitions(2)")
+    with pytest.raises(SystemSpecError, match="'u1' is also a colour weight"):
+        dataclasses.replace(sys, overline_marker="u1")
+    data = sys.to_json()
+    data["overline_marker"] = 5
+    with pytest.raises(TypeError, match="expected a string"):
+        ColouredSystem.from_json(data)
+
+
 def test_size_zero_parts_of_erased_weight_refused():
     # the size-0 part weighs 1 once b is erased, so it repeats at no cost in
     # size or degree: the erased series has an infinite q^0 coefficient,

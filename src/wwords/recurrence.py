@@ -9,13 +9,23 @@ p, via
           directly below p),
 
 closing self-admissible parts (min_gap(p, p) <= 0) with a geometric series.
-G_p is the cumulative sum 1 + sum of E at ranks <= rank(p), which equation
-checks look up.  The parts a G covers are a prefix of the rank order, so
-each new G is the nearest shorter cached prefix sum plus the E tables in
-between.  The smallest-part order is the same recursion run in reverse
-rank order, each part the new smallest one; it answers no G/E lookups but
-builds the full generating function (everything with size <= qmax)
-faster, so ``dp_series`` uses it.
+The sum in brackets is a running sum kept per gap-matrix row class: it
+holds the E tables of the parts admissible directly below the class's
+latest part, a set that only grows as the class's parts get larger.  E_p
+reads only its buckets 0..qmax-size(p), so each E table enters a running
+sum only up to bucket qmax - (least size among the class's parts still to
+come): every bucket a later part reads gets every term, and no term is
+built that no part reads.  G_p is the cumulative sum 1 + sum of E at ranks
+<= rank(p), which equation checks look up.  The parts a G covers are a
+prefix of the rank order, so each new G is the nearest shorter cached
+prefix sum plus the E tables in between.
+
+The smallest-part order is the same recursion run in reverse rank order,
+each part the new smallest one, with running sums kept per (colour,
+overline) group.  It answers no G/E lookups but builds the full generating
+function (everything with size <= qmax) faster, so ``dp_series`` uses it.
+There a group's parts still to come are smaller, so its running sums are
+cut hardly at all.
 
 Part weights come from ``ColouredSystem.part_weight``, which sets erased
 variables to 1: they never enter the tables, and a degree cap counts only
@@ -26,8 +36,9 @@ dilated size: a part of size n and weight mu sits at g = m*n + sum of
 shift(v)*exponent(v) over mu, the size of its dilated part, and the total
 is the series of the dilated system.  The tables take exactly the parts
 with g in 0..qmax, and refuse a part with g < 0, or with g = 0 and no
-degmax, as the dilated system itself is refused; so no g is negative, and
-a chain past qmax stays past it.
+degmax, and a shift on a variable that no colour weight carries, as the
+dilated system itself is refused; so no g is negative, and a chain past
+qmax stays past it.  The running sums are cut at qmax - g in the same way.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -55,7 +66,7 @@ from .algebra import (
     substitute,
 )
 from .systems import (ColouredPart, ColouredSystem, DilationSpec,
-                      SystemSpecError, build_preset)
+                      SystemSpecError, _check_shifts_carried, build_preset)
 
 
 class RecurrenceError(ValueError):
@@ -78,10 +89,12 @@ class RecurrenceState:
     order, which answer G/E lookups; "smallest" builds smallest-part tables
     in reverse rank order, which give only the total series.  G is answered
     from prefix sums of the E tables, cached by the number of parts they
-    cover.  The part weights leave out erased variables, so the tables,
-    the lookups and a degree cap never see them.  A ``dilation`` grades
-    the tables by dilated size and keeps only the total (see the module
-    docstring).
+    cover.  The E tables are whole; the running sums they are built from
+    hold only the buckets that the parts still to come read (see the
+    module docstring).  The part weights leave out erased variables, so
+    the tables, the lookups and a degree cap never see them.  A
+    ``dilation`` grades the tables by dilated size and keeps only the
+    total (see the module docstring).
     """
 
     def __init__(self, sys: ColouredSystem, qmax: int,
@@ -93,6 +106,8 @@ class RecurrenceState:
             raise ValueError(f"unknown direction {direction!r}")
         if dilation is None:
             sys.check_termination(degmax)
+        else:
+            _check_shifts_carried(sys, dilation)
         self.sys = sys
         self.qmax = qmax
         self.degmax = degmax
@@ -164,15 +179,27 @@ class RecurrenceState:
         sums: dict = {}
         ptrs: dict = {}
 
+        # a running sum is read only through E_p = w q^g (1 + acc), which
+        # reads buckets 0..qmax-g of acc; what is added at part i is read by
+        # the parts of its key from i on, so it fills buckets up to qmax -
+        # (least g among them), every bucket that any of them reads
+        ends = [0] * len(parts)
+        least: dict = {}
+        for i in reversed(range(len(parts))):
+            key = sum_key(parts[i])
+            least[key] = min(least.get(key, qmax), placed[parts[i]][1])
+            ends[i] = qmax + 1 - least[key]
+
         for i, p in enumerate(parts):
             key = sum_key(p)
             acc = sums.setdefault(key, _zero_buckets(qmax))
+            read = acc[:ends[i]]
             for c, idx, signed, rep in classes:
                 gap = sys.min_gap(p, rep) if sign > 0 else sys.min_gap(rep, p)
                 bound = sign * p.size - gap
                 ptr = ptrs.get((key, c), 0)
                 while ptr < len(idx) and idx[ptr] < i and signed[ptr] <= bound:
-                    _add_shifted(acc, self._E[idx[ptr]])
+                    _add_shifted(read, self._E[idx[ptr]])
                     ptr += 1
                 ptrs[key, c] = ptr
 
@@ -303,7 +330,7 @@ class EqTerm:
         if self.kind != "const" and (self.colour is None or self.size is None):
             raise RecurrenceError(f"{self.kind} term needs colour and size")
 
-    def coefficient_series(self, k: int, qmax: int) -> TruncatedSeries:
+    def coefficient_buckets(self, k: int, qmax: int) -> list[dict]:
         out = _zero_buckets(qmax)
         for c, items, qexp in self.poly:
             e = _affine_eval(qexp, k)
@@ -320,31 +347,35 @@ class EqTerm:
                     f"denominator 1 - q^({_affine_str(dexp)}) vanishes or is "
                     f"singular at k={k}; restrict the k range")
             _factor_step(out, 1, Monomial.one(), e, -1)
-        return TruncatedSeries(out)
+        return out
 
-    def evaluate(self, state: RecurrenceState, k: int,
-                 colour_binding: str | None) -> TruncatedSeries:
+    def add_to(self, out: list[dict], state: RecurrenceState, k: int,
+               colour_binding: str | None) -> None:
+        """out += this term at k, capped at the state's degmax."""
         qmax = state.qmax
-        coeff = self.coefficient_series(k, qmax)
+        coeff = self.coefficient_buckets(k, qmax)
         if self.kind == "const":
-            return coeff
-        colour = self.colour
-        if colour == "x":
-            if colour_binding is None:
-                raise RecurrenceError(
-                    "term uses placeholder colour 'x' but the equation "
-                    "declares no colour family")
-            colour = colour_binding
-        size = _affine_eval(self.size, k)
-        if self.kind == "G":
-            base = state.G(size, colour)
+            base = _one_buckets(0)
         else:
-            base = state.E(size, colour, self.over)
-        if self.sub is not None:
-            base = substitute(base, self.sub, qmax)
-        if base.degmax is not None:
-            coeff = coeff.cap_degree(base.degmax)
-        return coeff * base
+            colour = self.colour
+            if colour == "x":
+                if colour_binding is None:
+                    raise RecurrenceError(
+                        "term uses placeholder colour 'x' but the equation "
+                        "declares no colour family")
+                colour = colour_binding
+            size = _affine_eval(self.size, k)
+            if self.kind == "G":
+                series = state.G(size, colour)
+            else:
+                series = state.E(size, colour, self.over)
+            if self.sub is not None:
+                series = substitute(series, self.sub, qmax)
+            base = series._b
+        # one shifted copy of the table per term of the small coefficient
+        for s, bucket in enumerate(coeff):
+            for mono, c in bucket.items():
+                _add_shifted(out, base, s, mono, c, state.degmax)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -455,10 +486,56 @@ class EquationReport:
 
 def _sum_terms(terms: Sequence[EqTerm], state: RecurrenceState, k: int,
                colour: str | None) -> TruncatedSeries:
-    total = TruncatedSeries.zero(state.qmax, state.degmax)
+    out = _zero_buckets(state.qmax)
     for t in terms:
-        total = total + t.evaluate(state, k, colour)
-    return total
+        t.add_to(out, state, k, colour)
+    return TruncatedSeries(out, state.degmax)
+
+
+def _settled_k(spec: EquationSpec, state: RecurrenceState) -> int | None:
+    """The least k >= kmin from which no term of the equation changes with
+    k, or None if some coefficient or denominator form has alpha < 0 (it
+    raises EquationRangeError at some k instead) or names a colour the rank
+    rule does not know.
+
+    A term stops changing once its coefficient and denominator exponents
+    with alpha > 0 are past qmax (a monomial times q^e is then 0 and
+    1/(1 - q^e) is 1), a G of alpha > 0 covers every part of the table, an
+    E of alpha > 0 is past it, and a G or E of alpha < 0 has a negative
+    size; forms with alpha = 0 never change.
+    """
+    rule, qmax = state.sys.rank_rule, state.qmax
+    last = state._keys[-1][0] if state._keys else None
+
+    def reach(e: Affine, target: int) -> int:
+        """The least k with e(k) >= target, for alpha > 0."""
+        return -((e[1] - target) // e[0])
+
+    ks = [spec.kmin]
+    for t in spec.lhs + spec.rhs:
+        for e in [qexp for _, _, qexp in t.poly] + list(t.den):
+            if e[0] < 0:
+                return None
+            if e[0] > 0:
+                ks.append(reach(e, qmax + 1))
+        if t.kind == "const" or t.size[0] == 0:
+            continue
+        if t.size[0] < 0:
+            ks.append(reach((-t.size[0], -t.size[1]), 1))
+        elif t.kind == "E":
+            ks.append(reach(t.size, qmax + 1))
+        else:
+            colours = (spec.colours or (None,)) if t.colour == "x" else (t.colour,)
+            for colour in colours:
+                offset = rule.offsets.get(colour)
+                if offset is None:
+                    return None
+                # a G covers the table from the least size whose rank
+                # reaches the last part's; below size 1 it may be 1 instead
+                cover = (1 if last is None
+                         else max(1, reach((rule.mult, offset), last)))
+                ks.append(reach(t.size, cover))
+    return max(ks)
 
 
 def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
@@ -466,8 +543,10 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
                    degmax: int | None = None,
                    state: RecurrenceState | None = None) -> EquationReport:
     """Evaluate both sides for every k in range (and every colour binding)
-    and compare the truncated series exactly.  A given ``state`` must have
-    been built for the same system, qmax and degmax."""
+    and compare the truncated series exactly.  Past the k at which no term
+    changes any more (``_settled_k``) every k repeats that k's verdict, so
+    the check stops there; the report keeps the requested range.  A given
+    ``state`` must have been built for the same system, qmax and degmax."""
     if sys is None:
         sys = build_preset(spec.system)
     if kmax is None:
@@ -484,7 +563,9 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
             f"{sys.name} at qmax {qmax}, degmax {degmax}")
     report = EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax, True)
     bindings = spec.colours or (None,)
-    for k in range(spec.kmin, kmax + 1):
+    settled = _settled_k(spec, state)
+    stop = kmax if settled is None else min(kmax, max(spec.kmin, settled))
+    for k in range(spec.kmin, stop + 1):
         for colour in bindings:
             lhs = _sum_terms(spec.lhs, state, k, colour)
             rhs = _sum_terms(spec.rhs, state, k, colour)

@@ -563,18 +563,24 @@ def _free_over_gap(labels: list[str]) -> MatrixGap:
         for i, upper in enumerate(labels)})
 
 
-def dilate_system(sys: ColouredSystem, d: DilationSpec,
-                  name: str | None = None) -> ColouredSystem:
-    """Map sizes k -> m*k + o_x and transform domains, gaps, ranks, and
-    forbidden parts accordingly.  A gap g from upper colour x to lower
-    colour y becomes m*g + o_x - o_y; a "y~" column uses the offset of y.
-    Every shifted variable must be carried by some colour weight."""
+def _check_shifts_carried(sys: ColouredSystem, d: DilationSpec) -> None:
+    """Refuse a dilation that shifts a variable which no colour weight of
+    the system carries, such as the overline marker."""
     carried = {v for c in sys.colours for v, _ in c.weight.items}
     unknown = sorted(set(d.var_shifts) - carried)
     if unknown:
         raise SystemSpecError(
             f"dilation shifts {', '.join(map(repr, unknown))}, which no "
             f"colour weight of {sys.name!r} carries")
+
+
+def dilate_system(sys: ColouredSystem, d: DilationSpec,
+                  name: str | None = None) -> ColouredSystem:
+    """Map sizes k -> m*k + o_x and transform domains, gaps, ranks, and
+    forbidden parts accordingly.  A gap g from upper colour x to lower
+    colour y becomes m*g + o_x - o_y; a "y~" column uses the offset of y.
+    Every shifted variable must be carried by some colour weight."""
+    _check_shifts_carried(sys, d)
     m = d.modulus
     offsets = {c.label: d.offset_of(c.weight) for c in sys.colours}
     new_colours = []

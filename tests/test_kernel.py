@@ -1,6 +1,6 @@
 """The series kernel seen through the engines: the recurrence on generated
-systems against enumeration and its G/E lookups against fresh sums,
-dilation against substitution, the DP under a dilation against the dilated
+systems against enumeration, its tables against the brute-force oracle and
+its G/E lookups against fresh sums, dilation against substitution, the DP under a dilation against the dilated
 system, specialization against direct evaluation, and product factors
 with large exponents."""
 
@@ -32,7 +32,7 @@ from wwords import (
 )
 
 from helpers import random_system, reexpand, series
-from oracles import expand_product, system_order_fault
+from oracles import brute_force_partitions, expand_product, system_order_fault
 
 
 def _random_cases(seed: int):
@@ -214,8 +214,78 @@ def test_dp_under_a_dilation_is_the_dilated_series():
     assert min(seen.values()) >= 5 and len(seen) == 9, seen
 
 
+def test_dp_refuses_a_shift_no_weight_carries():
+    # the overline marker and an unknown variable: the DP once shifted every
+    # plain part by the first and ignored the second
+    sys = build_preset("primary-overpartitions(1)")
+    for shifts in ({"t": 1}, {"zz": 5}):
+        d = DilationSpec(1, shifts)
+        with pytest.raises(SystemSpecError, match="no colour weight"):
+            dilate_system(sys, d)
+        with pytest.raises(SystemSpecError, match="no colour weight"):
+            dp_series(sys, 3, 3, d)
+
+
 def _snapshot(f: TruncatedSeries) -> list[dict]:
     return [dict(f.coefficient(n).terms) for n in range(f.qmax + 1)]
+
+
+def test_tables_of_both_orders_match_brute_force():
+    """Each E_p of the largest-part order is the series of the chains whose
+    largest part is p, each G the series of the chains whose parts all have
+    keys up to its own, and the smallest-part order's total the series of
+    all chains, by the oracle's search on generated systems, with and
+    without a degree cap.  The running sums the tables are built from hold
+    only the buckets that the parts still to come read; a bucket cut too
+    early would miss terms here.  In the largest-part order a sum's parts
+    come in rising size, in the smallest-part order in falling size, where
+    only the least size still to come gives the right cut."""
+    rng = random.Random(5151)
+    checked = Counter()
+    for sys, qmax, own_degmax in _random_cases(31337):
+        if sys.has_zero_parts:
+            continue  # the oracle's search needs positive sizes
+        parts = sys.parts_up_to(qmax)
+        chains = brute_force_partitions(
+            qmax, parts, lambda p: p.size,
+            lambda upper, lower: upper.size - lower.size >= sys.min_gap(upper, lower))
+        for degmax in (None, own_degmax or rng.randrange(1, 5)):
+            # (largest part or None, size, weight) of each chain within degmax
+            found = []
+            for chain in chains:
+                w = Monomial.one()
+                for p in chain:
+                    w = w * sys.part_weight(p)
+                if degmax is None or w.degree <= degmax:
+                    found.append((chain[0] if chain else None,
+                                  sum(p.size for p in chain), w))
+
+            def table(keep):
+                out = [{} for _ in range(qmax + 1)]
+                for largest, n, w in found:
+                    if keep(largest):
+                        out[n][w] = out[n].get(w, 0) + 1
+                return out
+
+            case = (sys.to_json(), qmax, degmax)
+            state = RecurrenceState(sys, qmax, degmax)
+            for p in parts:
+                assert _snapshot(state.E(p.size, p.colour, p.over)) == table(
+                    lambda largest: largest == p), (case, p)
+            for size in range(1, qmax + 1):
+                for c in sys.colours:
+                    key = (sys.rank_rule.rank(ColouredPart(size, c.label)), 1)
+                    assert _snapshot(state.G(size, c.label)) == table(
+                        lambda largest: largest is None
+                        or sys.part_key(largest) <= key), (case, size, c.label)
+            smallest = RecurrenceState(sys, qmax, degmax, "smallest")
+            assert _snapshot(smallest.total_series()) == table(
+                lambda largest: True), case
+            checked["all"] += 1
+            checked["degmax"] += degmax is not None
+            checked["over"] += sys.overline_marker is not None
+            checked["erased"] += bool(sys.erased_vars)
+    assert min(checked.values()) >= 5, checked
 
 
 def test_lookups_equal_a_fresh_sum_in_any_order():

@@ -14,8 +14,10 @@ null, empty containers), and then
 The commands carry their own order bounds (``--qmax``, ``--degmax``,
 ``--kmax``), so that a huge number in the file cannot ask for unbounded work,
 except that product documents also run through ``expand`` with ``--qmax``
-alone: a product's cost must follow qmax, not a power in the file.  Every
-run must end within ``RUN_SECONDS``.
+alone, and equation documents through ``check-eq`` without ``--kmax``: a
+product's cost must follow qmax, not a power in the file, and an equation
+check must stop once its terms no longer change with k, not at the file's
+``kmax_default``.  Every run must end within ``RUN_SECONDS``.
 """
 
 import io
@@ -67,6 +69,9 @@ def _documents():
                                         "--degmax", "3"]),
         "equation": (builtin_equation("schur-rec-a").to_json(), EquationSpec,
                      lambda p: ["check-eq", p, "--qmax", "4", "--kmax", "3"]),
+        "equation-uncapped": (builtin_equation("schur-rec-a").to_json(),
+                              EquationSpec,
+                              lambda p: ["check-eq", p, "--qmax", "4"]),
         "product": (theorem_2.to_json(), ProductSpec,
                     lambda p: ["expand", "--product", p, "--qmax", "4",
                                "--degmax", "4"]),
@@ -158,7 +163,8 @@ def _check(kind, doc, tmp_path):
     report = json.loads(out.getvalue())
     assert code in (0, 1, 2), err.getvalue()
     if code == 1:
-        assert kind == "equation" and report["holds"] is False, err.getvalue()
+        assert kind.startswith("equation") and report["holds"] is False, (
+            err.getvalue())
     if code == 2:
         assert set(report) == {"error"} and err.getvalue().startswith("error: ")
 
@@ -171,6 +177,18 @@ def test_unspoiled_documents_load_and_run(kind, tmp_path):
     path.write_text(json.dumps(doc))
     with redirect_stdout(io.StringIO()):
         assert _run_bounded(argv(str(path))) == 0
+
+
+def test_huge_kmax_default_ends(tmp_path):
+    # checking each k up to 10^12 once kept this run from ending
+    doc = {**DOCUMENTS["equation-uncapped"][0], "kmax_default": 10 ** 12}
+    path = tmp_path / "equation.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert _run_bounded(["--format", "json", "check-eq", str(path),
+                             "--qmax", "4"]) == 0
+    assert json.loads(out.getvalue())["k_range"] == [1, 10 ** 12]
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))

@@ -29,6 +29,7 @@ from wwords import (
 )
 
 from helpers import constant, series as series_of
+from wwords import recurrence
 
 
 def P(size, colour, over=False):
@@ -336,6 +337,62 @@ def test_failing_equation_reports_first_mismatch():
     first = report.failures[0]
     assert set(first) >= {"k", "first_mismatch_exponent",
                           "lhs_coefficient", "rhs_coefficient"}
+
+
+def _unstopped(monkeypatch):
+    """Make check_equation run every k up to kmax."""
+    monkeypatch.setattr(recurrence, "_settled_k", lambda spec, state: None)
+
+
+def test_stop_past_settled_terms_keeps_every_report(monkeypatch):
+    # past the k where no term changes, every k repeats the verdict, so the
+    # check stops there; the report, the requested range included, is the
+    # one every k up to kmax gives
+    states = {}
+    stopped = {}
+    for eq in builtin_equations():
+        if eq.system not in states:
+            states[eq.system] = RecurrenceState(build_preset(eq.system), 12)
+        state = states[eq.system]
+        for kmax in (eq.kmax_default, eq.kmax_default + 10):
+            report = check_equation(eq, state.sys, kmax, 12, state=state)
+            assert report.holds and report.kmax == kmax, eq.name
+            stopped[eq.name, kmax] = report.to_json()
+    assert len(stopped) == 26
+    _unstopped(monkeypatch)
+    for (name, kmax), report in stopped.items():
+        eq = builtin_equation(name)
+        state = states[eq.system]
+        assert check_equation(eq, state.sys, kmax, 12,
+                              state=state).to_json() == report, name
+
+
+def test_failures_end_where_the_terms_settle(monkeypatch):
+    # one more 1 on the right-hand side: wrong at every k
+    eq = builtin_equation("schur-rec-a")
+    broken = dataclasses.replace(eq, rhs=eq.rhs + (recurrence.EqTerm("const"),))
+    state = RecurrenceState(build_preset("schur-weighted"), 10)
+    settled = recurrence._settled_k(broken, state)
+    stopped = check_equation(broken, kmax=40, qmax=10, state=state).failures
+    assert stopped[-1]["k"] == settled < 40
+    _unstopped(monkeypatch)
+    every = check_equation(broken, kmax=40, qmax=10, state=state).failures
+    assert every[:len(stopped)] == stopped
+    assert every[len(stopped):] == [{**stopped[-1], "k": k}
+                                    for k in range(settled + 1, 41)]
+
+
+def test_huge_kmax_stops_or_raises_at_a_small_k():
+    eq = dataclasses.replace(builtin_equation("schur-rec-a"),
+                             kmax_default=10 ** 12)
+    report = check_equation(eq, qmax=4)
+    assert report.holds and report.to_json()["k_range"] == [1, 10 ** 12]
+    # a form with alpha < 0 never settles: it turns negative at k = 6
+    falling = dataclasses.replace(
+        eq, rhs=(eq.rhs[0], dataclasses.replace(
+            eq.rhs[1], poly=((1, (("a", 1),), (-1, 5)),))))
+    with pytest.raises(EquationRangeError, match="at k=6"):
+        check_equation(falling, qmax=4)
 
 
 def test_equation_json_round_trip():

@@ -514,14 +514,6 @@ class TruncatedSeries:
             raise AlgebraError("cannot extend a truncated series")
         return TruncatedSeries(self._b[: new_qmax + 1], self.degmax)
 
-    def cap_degree(self, degmax: int | None) -> "TruncatedSeries":
-        if degmax is None:
-            return self
-        dm = degmax if self.degmax is None else min(self.degmax, degmax)
-        out = _zero_buckets(self.qmax)
-        _add_shifted(out, self._b, degmax=dm)
-        return TruncatedSeries(out, dm)
-
     def specialize(self, assignments: Mapping[str, int]) -> "TruncatedSeries":
         """Set named variables to integer values (typically 1)."""
         images: dict[Monomial, tuple[Monomial, int]] = {}

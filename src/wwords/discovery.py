@@ -18,17 +18,18 @@ not yet understood:
   the substituted series is product-like and by how many distinct Euler
   factor families one period carries.
 
-The search factorizes the unsubstituted series once.  Substituting
-variables by monomials maps each Euler factor ``(1 - mono * q^n)`` to a
-factor at the same ``q`` power, so the substituted table's rows are the
-relabelled rows with colliding entries summed.  Two invariants of that
-merge filter the candidates once per search instead of relabelling per
-candidate: a row's exponent total does not depend on the candidate, which
-decides the (period, initial) pairs alive on an early window, and its first
-moment in one primary coordinate is affine in that coordinate of the
-images, which decides each live pair per coordinate.  Only the survivors
-are substituted and handed to :func:`recognize_periodic_product`, which
-alone decides whether a series is a product and what its pattern is.
+The search factorizes the unsubstituted series once, on the early window
+that its filter compares.  Substituting variables by monomials maps each
+Euler factor ``(1 - mono * q^n)`` to a factor at the same ``q`` power, so
+the substituted table's rows are the relabelled rows with colliding entries
+summed.  Two invariants of that merge filter the candidates once per search
+instead of relabelling per candidate: a row's exponent total does not
+depend on the candidate, which decides the (period, initial) pairs alive on
+an early window, and its first moment in one primary coordinate is affine
+in that coordinate of the images, which decides each live pair per
+coordinate.  Only the survivors are substituted and handed to
+:func:`recognize_periodic_product`, which alone decides whether a series is
+a product and what its pattern is.
 """
 
 from __future__ import annotations
@@ -216,7 +217,11 @@ class RelationCandidate:
 
 def _early_window(qmax: int) -> int:
     """Smallest window on which no (period, initial) pair is vacuous: the
-    loosest pair (m, m), m = qmax // 3, still gets checked at degree 2m + 1."""
+    loosest pair (m, m), m = qmax // 3, still gets checked at degree 2m + 1.
+
+    The invariant filter reads the Euler table on this window and nowhere
+    else, so the search factorizes only the series truncated to it.
+    """
     return min(qmax, 2 * (qmax // 3) + 1)
 
 
@@ -243,6 +248,11 @@ def _survivors(table, free: Sequence[str], prims: Sequence[str], max_exponent: i
     A substitution is kept when, for some live pair, its coordinate vectors
     pass on every coordinate.  ``None`` means the window is too short for
     any pair, and then every substitution must be recognized.
+
+    Only the entries of ``table`` with ``n <= _early_window(qmax)`` are
+    read, so a table of the series truncated to that window gives the same
+    set: a factor step at degree ``n`` writes only buckets ``n`` and above,
+    so the entries up to the window do not depend on the buckets past it.
     """
     pairs = _pairs(qmax)
     if not pairs:
@@ -303,10 +313,14 @@ def search_relations(system: ColouredSystem,
     erased is free; each free variable independently ranges over monomials
     ``prod(primary ** e)`` with ``0 <= e <= max_exponent``.  Primaries are
     never substituted.  The system's series is enumerated once to order
-    ``qmax``.  Candidates that pass the invariant filter of its Euler
-    factors on an early window are substituted and passed to
-    :func:`recognize_periodic_product`; product-like candidates carry the
-    :class:`PeriodicPattern` it returns.
+    ``qmax``.  Its Euler factors are built only on the early window that
+    the invariant filter compares (:func:`_early_window`): the table of the
+    truncated series is exactly the full table's entries up to that window,
+    in the same order, since a factor step writes no bucket below its own
+    degree.  Candidates that pass the filter are substituted on the whole
+    window and passed to :func:`recognize_periodic_product`, which
+    factorizes and re-expands each one to order ``qmax``; product-like
+    candidates carry the :class:`PeriodicPattern` it returns.
 
     Candidates are returned sorted best first: product-like before not,
     fewer factor families per period before more, and enumeration order
@@ -330,7 +344,8 @@ def search_relations(system: ColouredSystem,
             "reduce max_exponent or the number of free colours")
 
     base = enumerate_series(system, qmax)
-    keep = _survivors(euler_factorize(base), free, prims, max_exponent, qmax)
+    keep = _survivors(euler_factorize(base.truncate(_early_window(qmax))),
+                      free, prims, max_exponent, qmax)
 
     vecs = list(itertools.product(range(max_exponent + 1), repeat=len(prims)))
     image_monos = {vec: Monomial.from_dict({p: e for p, e in zip(prims, vec) if e})

@@ -67,6 +67,17 @@ def series(coeffs: Mapping[int, Mapping[str | Monomial, int]], qmax: int,
     return TruncatedSeries(buckets, degmax)
 
 
+def cap_degree(f: TruncatedSeries, degmax: int | None) -> TruncatedSeries:
+    """f without its monomials of colour degree above degmax, faithful only
+    inside that degree window; f itself when degmax is None."""
+    if degmax is None:
+        return f
+    dm = degmax if f.degmax is None else min(f.degmax, degmax)
+    return TruncatedSeries([
+        {m: c for m, c in f.coefficient(n).terms.items() if m.degree <= dm}
+        for n in range(f.qmax + 1)], dm)
+
+
 def constant(p: Polynomial) -> int:
     """The coefficient of the monomial 1."""
     return p.terms.get(Monomial.one(), 0)

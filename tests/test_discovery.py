@@ -295,11 +295,26 @@ def _pinned_siladic():
     (build_preset("schur-dilated-mod3"), 18),
     (_pinned_siladic(), 24),
 ], ids=["schur-dilated-mod3", "siladic-pinned"])
-def test_every_candidate_pattern_is_the_recognizers(system, qmax):
+def test_every_candidate_pattern_is_the_recognizers(system, qmax, monkeypatch):
     # each candidate, kept or dropped by the early-window prefilter, carries
     # exactly what recognizing its substituted series on the whole window gives
+    seen = []
+
+    def spy(table, *args):
+        seen.append((table, _survivors(table, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(discovery, "_survivors", spy)
     base = enumerate_series(system, qmax)
     cands = search_relations(system, ["a", "b"], qmax, max_exponent=2)
+    # the filter reads the full table's early rows, and keeps what it would
+    # keep from the full table
+    [(table, kept)] = seen
+    full = euler_factorize(base)
+    assert table == [t for t in full if t[1] <= _early_window(qmax)]
+    assert len(table) < len(full)
+    free = sorted(set(system.variables()) - {"a", "b"})
+    assert kept == _survivors(full, free, ["a", "b"], 2, qmax)
     assert len(cands) == 9 ** len(cands[0].substitution)
     for cand in cands:
         sub = SubstitutionMap(1, {v: (m, 0) for v, m in cand.substitution})
@@ -427,3 +442,36 @@ def test_filter_keeps_as_few_as_relabelling(system, qmax, survivors):
     kept = _relabel_kept(table, free, ["a", "b"], 2, qmax)
     assert len(kept) == survivors
     assert _survivors(table, free, ["a", "b"], 2, qmax) == kept
+
+
+# ---------------------------------------------------------------------------
+# the search factorizes only the early window, and loses nothing by it
+# ---------------------------------------------------------------------------
+
+
+def test_early_table_is_the_full_tables_prefix_on_random_systems():
+    # a factor step at degree n writes no bucket below n, so the table of
+    # the truncated series is the full table's entries up to the window
+    rng = random.Random(4409)
+    checked = cut = 0
+    for index in range(80):
+        system = random_system(rng, index)
+        if system is None or system.has_zero_parts:
+            continue  # the search needs a unit constant term
+        pool = system.variables() + ["z"]
+        prims = rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))
+        free = sorted(set(system.variables()) - set(prims))
+        max_exponent = rng.randrange(3)
+        qmax = rng.randrange(3, 25)
+        window = _early_window(qmax)
+        for degmax in (None, rng.randrange(1, qmax + 1)):
+            f = dp_series(system, qmax, degmax)
+            full = euler_factorize(f)
+            early = euler_factorize(f.truncate(window))
+            assert early == [t for t in full if t[1] <= window], \
+                (system.to_json(), qmax, degmax)
+            assert _survivors(early, free, prims, max_exponent, qmax) == \
+                _survivors(full, free, prims, max_exponent, qmax)
+            checked += 1
+            cut += len(early) < len(full)
+    assert checked >= 60 and cut >= 40, (checked, cut)

@@ -17,7 +17,7 @@ from wwords.algebra import (
 
 import pytest
 
-from helpers import constant, poly, series
+from helpers import cap_degree, constant, poly, series
 
 
 def _geom(var: str, n: int, qmax: int) -> TruncatedSeries:
@@ -76,7 +76,7 @@ def test_multiplication_by_single_term_series_shifts():
 
 def test_degmax_caps_colour_degree():
     qmax = 6
-    f = _geom("a", 1, qmax).cap_degree(2)
+    f = cap_degree(_geom("a", 1, qmax), 2)
     assert f.degmax == 2
     assert f.coefficient(2) == poly({"a^2": 1})
     assert f.coefficient(3).is_zero()      # a^3 exceeds the cap
@@ -103,7 +103,7 @@ def test_specialize_sets_variables_to_integers():
 
 
 def test_series_json_round_trip():
-    f = _geom("a", 2, 7).cap_degree(3)
+    f = cap_degree(_geom("a", 2, 7), 3)
     assert TruncatedSeries.from_json(f.to_json()) == f
     assert TruncatedSeries.from_json(f.to_json()).degmax == 3
 
@@ -186,7 +186,7 @@ def test_substitution_negative_shift_requires_degree_discipline():
     with pytest.raises(SubstitutionError):
         substitute(f, sub, 4)
     # declaring the cap restores a valid (smaller) window: 2*4 - 1*3 = 5 >= 4
-    g = substitute(f.cap_degree(3), sub, 4)
+    g = substitute(cap_degree(f, 3), sub, 4)
     assert g.coefficient(2) == poly({"b^3": 1})
 
 

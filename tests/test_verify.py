@@ -29,7 +29,7 @@ from wwords.verify import (
     verify_identity,
 )
 
-from helpers import constant
+from helpers import cap_degree, constant
 
 REPORT_KEYS = {"identity", "qmax", "degmax", "engines", "equal",
                "first_mismatch", "conventions", "ms"}
@@ -442,7 +442,7 @@ def test_degree_cap_below_qmax_holds_on_erased_cases(name):
     assert report.engines == case.applicable_engines()
     side_b = build_preset(case.side_b)
     assert enumerate_series(side_b, 16, 6) == \
-        enumerate_series(side_b, 16).cap_degree(6)
+        cap_degree(enumerate_series(side_b, 16), 6)
 
 
 def test_explicit_degmax_override_is_reported():

@@ -32,9 +32,10 @@ variables to 1: they never enter the tables, and a degree cap counts only
 the variables the series keeps, as in every other engine.
 
 Under a dilation (``dp_series(..., dilation=d)``) the tables are graded by
-dilated size: a part of size n and weight mu sits at g = m*n + sum of
-shift(v)*exponent(v) over mu, the size of its dilated part, and the total
-is the series of the dilated system.  The tables take exactly the parts
+dilated size: a part of size n whose colour weighs mu, erased variables
+included, sits at g = m*n + sum of shift(v)*exponent(v) over mu, the size
+of its dilated part, and the total is the series of the dilated system,
+as ``dilate_system`` builds it.  The tables take exactly the parts
 with g in 0..qmax, and refuse a part with g < 0, or with g = 0 and no
 degmax, and a shift on a variable that no colour weight carries, as the
 dilated system itself is refused; so no g is negative, and a chain past
@@ -125,18 +126,17 @@ class RecurrenceState:
 
     def _build(self) -> None:
         sys, qmax, degmax = self.sys, self.qmax, self.degmax
-        # a part sits at its dilated size g = m*size + offset(weight); with
-        # no dilation, the identity's g is the size.  g rises with size along
-        # each colour, plain or overlined, so the least offset bounds the
-        # sizes of every part with g <= qmax
+        # a part sits at its dilated size g = m*size + offset of its colour's
+        # full weight, as dilate_system places it; with no dilation, the
+        # identity's g is the size.  g rises with size along each colour, so
+        # the least offset bounds the sizes of every part with g <= qmax
         d = self.dilation or DilationSpec(1, {})
-        offsets = [d.offset_of(sys.part_weight(ColouredPart(0, c.label, over)))
-                   for c in sys.colours for over in (False, True)]
+        offsets = [d.offset_of(c.weight) for c in sys.colours]
         # each part with g <= qmax and within degmax: its weight and g
         placed = {}
         for p in sys.parts_up_to((qmax - min(offsets, default=0)) // d.modulus):
             w = sys.part_weight(p)
-            g = d.modulus * p.size + d.offset_of(w)
+            g = d.modulus * p.size + d.offset_of(sys.colour(p.colour).weight)
             if g < 0 or (g == 0 and (degmax is None or w.degree == 0)):
                 raise SystemSpecError(
                     f"part {p} dilates to size {g}, which the dilated system "
@@ -272,9 +272,9 @@ def dp_series(sys: ColouredSystem, qmax: int, degmax: int | None = None,
               dilation: DilationSpec | None = None) -> TruncatedSeries:
     """Full generating function up to q^qmax via the recurrence engine, in
     the smallest-part order: a total needs no G/E lookups.  With a
-    ``dilation``, the generating function of the dilated system up to
-    q^qmax, with the shifts of erased variables read as 0 (see the module
-    docstring)."""
+    ``dilation``, the generating function of ``dilate_system(sys,
+    dilation)`` up to q^qmax: a part's grade reads its colour's full
+    weight, erased variables included (see the module docstring)."""
     return RecurrenceState(sys, qmax, degmax, "smallest",
                            dilation).total_series()
 

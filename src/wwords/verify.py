@@ -32,13 +32,15 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 from .algebra import (Monomial, ProductFactor, ProductSpec, SubstitutionMap,
                       TruncatedSeries, product_expand, substitute)
 from .enumeration import _walk, enumerate_series, partition_weight
 from .recurrence import dp_series
-from .systems import ColouredPart, DilationSpec, build_preset, preset_dilation
+from .systems import (ColouredPart, ColouredSystem, DilationSpec, build_preset,
+                      preset_dilation)
 
 __all__ = [
     "ENGINES",
@@ -77,8 +79,9 @@ class IdentityCase:
     ``side_b`` names the preset system carrying the difference conditions.
     The A side is ``product`` (an infinite product), ``side_a`` (a second
     system counting the same objects), or both.  ``relation`` substitutes
-    colour variables by monomials before any comparison (e.g. ``c -> ab``),
-    and ``specialize`` then pins variables to integers.
+    B-side colour variables by monomials (e.g. ``c -> ab``).  ``erased``
+    names the variables the identity sets to 1: every system the case runs
+    leaves them out of its part weights, keeping their dilation shifts.
     ``dilation_of``/``dilation`` enable the ``dilation`` engine.  A case
     with ``conventions`` tries each named variant of the B side and asserts
     that exactly one matches the A side.  ``statistic`` names a textual
@@ -93,7 +96,7 @@ class IdentityCase:
     qmax: int = 30
     degmax: int | None = None
     relation: Mapping[str, Mapping[str, int]] | None = None
-    specialize: Mapping[str, int] | None = None
+    erased: tuple[str, ...] = ()
     dilation_of: str | None = None
     dilation: DilationSpec | None = None
     conventions: Mapping[str, str] | None = None
@@ -153,16 +156,28 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _apply_tail(case: IdentityCase, f: TruncatedSeries, qmax: int,
-                b_side: bool) -> TruncatedSeries:
-    """Relation (B side only) and specialization (both sides)."""
-    if b_side and case.relation:
-        images = {v: (Monomial.from_dict(dict(mono)), 0)
-                  for v, mono in case.relation.items()}
-        f = substitute(f, SubstitutionMap(1, images), qmax, f.degmax)
-    if case.specialize:
-        f = f.specialize(dict(case.specialize))
-    return f
+def _system(name: str, erased: tuple[str, ...]) -> ColouredSystem:
+    """The preset, with ``erased`` left out of its part weights."""
+    return _erased_preset(name, erased) if erased else build_preset(name)
+
+
+@cache
+def _erased_preset(name: str, erased: tuple[str, ...]) -> ColouredSystem:
+    """Built and checked once per (preset, erased) pair.  A variable that
+    no colour weight carries is left out, as the JSON loader refuses it."""
+    sys = build_preset(name)
+    return replace(sys, erased_vars=sys.erased_vars + tuple(
+        v for v in erased if any(c.weight.exponent(v) for c in sys.colours)))
+
+
+def _relate(case: IdentityCase, f: TruncatedSeries,
+            qmax: int) -> TruncatedSeries:
+    """The case's colour relation, applied to a B-side series."""
+    if not case.relation:
+        return f
+    images = {v: (Monomial.from_dict(dict(mono)), 0)
+              for v, mono in case.relation.items()}
+    return substitute(f, SubstitutionMap(1, images), qmax, f.degmax)
 
 
 def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
@@ -171,24 +186,21 @@ def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
     """All (label, series) pairs one engine contributes."""
     if engine in ("enum", "recurrence"):
         def series(name: str) -> TruncatedSeries:
+            sys = _system(name, case.erased)
             if engine == "enum":
-                return enumerate_series(build_preset(name), qmax, degmax)
-            return dp_series(build_preset(name), qmax, degmax)
+                return enumerate_series(sys, qmax, degmax)
+            return dp_series(sys, qmax, degmax)
 
-        out = [(engine, _apply_tail(case, series(side_b_name), qmax,
-                                    b_side=True))]
+        out = [(engine, _relate(case, series(side_b_name), qmax))]
         if case.side_a is not None:
-            out.append((f"{engine}-A", _apply_tail(
-                case, series(case.side_a), qmax, b_side=False)))
+            out.append((f"{engine}-A", series(case.side_a)))
         return out
     if engine == "product":
-        return [("product", _apply_tail(
-            case, product_expand(case.product, qmax, degmax),
-            qmax, b_side=False))]
+        return [("product", product_expand(case.product, qmax, degmax))]
     if engine == "dilation":
-        dilated = dp_series(build_preset(case.dilation_of), qmax, degmax,
-                            case.dilation)
-        return [("dilation", _apply_tail(case, dilated, qmax, b_side=True))]
+        dilated = dp_series(_system(case.dilation_of, case.erased), qmax,
+                            degmax, case.dilation)
+        return [("dilation", _relate(case, dilated, qmax))]
     raise VerificationError(
         f"unknown engine {engine!r}; engines: {', '.join(ENGINES)}")
 
@@ -224,16 +236,6 @@ def _compare_all(series: list[tuple[str, TruncatedSeries]]
 # ---------------------------------------------------------------------------
 
 
-def _check_cap(case: IdentityCase, qmax: int, degmax: int) -> None:
-    """Refuse a degree cap below ``qmax`` when the case specializes
-    variables after the cap is applied."""
-    if case.specialize:
-        raise VerificationError(
-            f"degmax={degmax} is below qmax={qmax}, but {case.name} "
-            f"specializes {', '.join(sorted(case.specialize))}: the cap would "
-            "count their degree on one side only; use degmax >= qmax or no cap")
-
-
 def verify_identity(case: IdentityCase | str, qmax: int | None = None,
                     degmax=_UNSET,
                     engines: Iterable[str] | None = None) -> Report:
@@ -242,11 +244,9 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
     ``qmax``/``degmax`` default to the case's documented order.  ``engines``
     defaults to every engine applicable to the case; requesting an
     inapplicable one raises :class:`VerificationError` listing the
-    applicable set.  So does a ``degmax`` below ``qmax`` on a case that
-    specializes variables: the cap counts their degree on one side only,
-    which would report a mismatch that is not there.  Erased variables
-    need no such refusal: they leave the part weights, so every engine
-    counts the same degree.
+    applicable set.  A case's erased variables leave the part weights of
+    every system it runs, so every engine counts the same degree, and a
+    ``degmax`` below ``qmax`` compares the same capped series.
     """
     if isinstance(case, str):
         case = identity_case(case)
@@ -255,8 +255,6 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
         qmax = case.qmax
     if degmax is _UNSET:
         degmax = case.degmax
-    if degmax is not None and degmax < qmax:
-        _check_cap(case, qmax, degmax)
     applicable = case.applicable_engines()
     if engines is None:
         chosen = applicable
@@ -510,7 +508,7 @@ def identity_cases() -> dict[str, IdentityCase]:
             name="theorem-1",
             side_b="siladic-dilated",
             side_a="distinct-odd",
-            specialize={"a": 1, "b": 1},
+            erased=("a", "b"),
             dilation_of="siladic-weighted",
             dilation=preset_dilation("siladic-weighted"),
             qmax=60,
@@ -586,7 +584,7 @@ def identity_cases() -> dict[str, IdentityCase]:
             name="primc-conjecture",
             side_b="primc-dilated",
             product=_partition_product(),
-            specialize={"a": 1, "c": 1, "d": 1},
+            erased=("a", "c", "d"),
             dilation_of="primc-weighted",
             dilation=preset_dilation("primc-weighted"),
             qmax=40,

@@ -164,25 +164,13 @@ class TestVerify:
         assert code == 2
         assert "statistic" in err
 
-    @pytest.mark.parametrize("argv,degmax,qmax", [
-        (["primc-conjecture", "--qmax", "28", "--degmax", "25"], 25, 28),
-        (["primc-conjecture", "--qmax", "8", "--degmax", "3"], 3, 8),
-        (["theorem-1", "--qmax", "20", "--degmax", "3"], 3, 20),
-    ])
-    def test_cap_below_qmax_on_dropped_variables_is_usage_error(
-            self, argv, degmax, qmax):
-        # specialized variables count against the cap on one side only,
-        # so these runs once reported a mismatch (exit 1)
-        code, out, err = run(["verify", *argv])
-        assert code == 2
-        assert f"degmax={degmax}" in err and f"qmax={qmax}" in err
-        assert "specializes" in err
-        assert out == ""
-
     @pytest.mark.parametrize("argv", [
         ["verify", "theorem-6", "--qmax", "12", "--degmax", "5"],
         ["check-eq", "primc-eg", "--qmax", "12", "--degmax", "3"],
         ["check-eq", "primc-qdiff", "--qmax", "12", "--degmax", "2"],
+        ["verify", "primc-conjecture", "--qmax", "28", "--degmax", "25"],
+        ["verify", "primc-conjecture", "--qmax", "8", "--degmax", "3"],
+        ["verify", "theorem-1", "--qmax", "20", "--degmax", "3"],
     ])
     def test_cap_below_qmax_on_erased_variables_holds(self, argv):
         # erased variables leave the part weights, so the cap counts the

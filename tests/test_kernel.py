@@ -1,12 +1,14 @@
 """The series kernel seen through the engines: the recurrence on generated
 systems against enumeration, its tables against the brute-force oracle and
-its G/E lookups against fresh sums, dilation against substitution, the DP under a dilation against the dilated
-system, specialization against direct evaluation, and product factors
+its G/E lookups against fresh sums, dilation against substitution, the DP
+under a dilation against the dilated system, erasing against setting to 1
+afterwards, specialization against direct evaluation, and product factors
 with large exponents."""
 
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +33,7 @@ from wwords import (
     substitute,
 )
 
-from helpers import random_system, reexpand, series
+from helpers import cap_degree, random_system, reexpand, series
 from oracles import brute_force_partitions, expand_product, system_order_fault
 
 
@@ -184,8 +186,8 @@ def test_dp_under_a_dilation_is_the_dilated_series():
     """Under a dilation the DP gives the dilated system's series, or refuses
     exactly where the dilated system is refused: on generated systems with
     negative, large and erased-variable shifts, with and without a degree
-    cap.  The part weights leave erased variables out, so the oracle
-    dilates with their shifts set to 0."""
+    cap.  An erased variable leaves the part weights but keeps its shift,
+    as ``dilate_system`` dilates by the colours' full weights."""
     rng = random.Random(1717)
     seen = Counter()
     for sys, qmax, own_degmax in _random_cases(31337):
@@ -193,10 +195,8 @@ def test_dp_under_a_dilation_is_the_dilated_series():
         for degmax in (None, own_degmax or 4):
             shifts = {v: rng.choice([-2, -1, 0, 1, 2, qmax]) for v in carried}
             d = DilationSpec(rng.randrange(1, 5), shifts)
-            d0 = DilationSpec(d.modulus, {v: 0 if v in sys.erased_vars else s
-                                          for v, s in shifts.items()})
             try:
-                expected = enumerate_series(dilate_system(sys, d0), qmax, degmax)
+                expected = enumerate_series(dilate_system(sys, d), qmax, degmax)
             except SystemSpecError as exc:
                 with pytest.raises(SystemSpecError):
                     dp_series(sys, qmax, degmax, d)
@@ -212,6 +212,55 @@ def test_dp_under_a_dilation_is_the_dilated_series():
             seen["zero parts lifted"] += sys.has_zero_parts and degmax is None
             seen["degmax" if degmax is not None else "no degmax"] += 1
     assert min(seen.values()) >= 5 and len(seen) == 9, seen
+
+
+def test_erasing_is_setting_to_one_after_the_dilation():
+    """Erasing variables from the part weights gives the full-weight series
+    with those variables set to 1 afterwards, in enumeration, in the DP and
+    in the DP under a dilation that shifts the erased variables too: an
+    erased variable keeps its shift and leaves only the monomial.  Under a
+    degree cap the full-weight series is capped after specializing, and a
+    system is refused exactly where the erased system is."""
+    rng = random.Random(2718)
+    seen = Counter()
+    for sys, qmax, _ in _random_cases(4242):
+        carried = sorted({v for c in sys.colours for v, _ in c.weight.items})
+        if not carried:
+            continue
+        erased = tuple(rng.sample(carried, rng.randrange(1, len(carried) + 1)))
+        full = replace(sys, erased_vars=())
+        ones = {v: 1 for v in erased}
+        top = max(c.weight.degree for c in sys.colours) + bool(
+            sys.overline_marker)
+        sys = replace(sys, erased_vars=erased)
+        # caps below the full weight's degree too
+        for degmax in (None, rng.randrange(1, 5)):
+            # a full-weight term of at most degmax kept degree has at most
+            # qmax parts of positive size and degmax of size 0
+            full_degmax = None if degmax is None else top * (qmax + degmax)
+            shifts = {v: rng.choice([-2, -1, 0, 1, 2, qmax]) for v in carried}
+            d = DilationSpec(rng.randrange(1, 5), shifts)
+            for label, engine, dilated in (("enum", enumerate_series, False),
+                                           ("dp", dp_series, False),
+                                           ("dilated dp", dp_series, True)):
+                try:
+                    got = (dp_series(sys, qmax, degmax, d) if dilated
+                           else engine(sys, qmax, degmax))
+                except SystemSpecError:
+                    with pytest.raises(SystemSpecError):
+                        enumerate_series(dilate_system(sys, d) if dilated
+                                         else sys, qmax, degmax)
+                    seen["refused"] += 1
+                    continue
+                oracle = dilate_system(full, d) if dilated else full
+                expected = cap_degree(enumerate_series(
+                    oracle, qmax, full_degmax).specialize(ones), degmax)
+                assert got == expected, (sys.to_json(), label, d, qmax, degmax)
+                seen[label] += 1
+                seen["erased, shifted"] += dilated and any(
+                    shifts[v] for v in erased)
+                seen["degmax" if degmax is not None else "no degmax"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
 
 
 def test_dp_refuses_a_shift_no_weight_carries():

@@ -415,24 +415,22 @@ def test_theorem_8_sides_differ_as_systems_but_agree_as_series():
     assert report.degmax == 6
 
 
-# cases that specialize variables after the cap is applied
+# cases that set colour variables to 1
 DROPPING_CASES = ("theorem-1", "primc-conjecture")
 
 
 def test_dropping_cases_are_listed():
-    assert {n for n, c in identity_cases().items() if c.specialize} == set(
-        DROPPING_CASES)
+    cases = identity_cases()
+    assert {n for n, c in cases.items() if c.erased} == set(DROPPING_CASES)
+    # only the systems erase them: no product side carries one
+    for name in DROPPING_CASES:
+        case = cases[name]
+        if case.product is not None:
+            carried = {v for f in case.product.factors for v, _ in f.mono.items}
+            assert not carried & set(case.erased), name
 
 
-@pytest.mark.parametrize("name", DROPPING_CASES)
-def test_degree_cap_below_qmax_refused_when_variables_drop(name):
-    # the cap counts specialized degree on one side only
-    with pytest.raises(VerificationError, match="degmax=3 is below qmax=10"):
-        verify_identity(name, qmax=10, degmax=3)
-    assert verify_identity(name, qmax=10, degmax=10).equal is True
-
-
-@pytest.mark.parametrize("name", ["theorem-6", "theorem-7"])
+@pytest.mark.parametrize("name", ["theorem-6", "theorem-7", *DROPPING_CASES])
 def test_degree_cap_below_qmax_holds_on_erased_cases(name):
     # erased variables leave the part weights, so every engine counts the
     # same degree and a cap below qmax is faithful inside its window
@@ -441,8 +439,11 @@ def test_degree_cap_below_qmax_holds_on_erased_cases(name):
     assert report.equal is True, report.first_mismatch
     assert report.engines == case.applicable_engines()
     side_b = build_preset(case.side_b)
+    side_b = dataclasses.replace(
+        side_b, erased_vars=side_b.erased_vars + case.erased)
     assert enumerate_series(side_b, 16, 6) == \
         cap_degree(enumerate_series(side_b, 16), 6)
+    assert verify_identity(name, qmax=10, degmax=3).equal is True
 
 
 def test_explicit_degmax_override_is_reported():

@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 87 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 89 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -23,7 +23,8 @@ byte-identical JSON and the same exit codes on every run:
   dilation engine uses;
 * runs with ``--degmax`` below ``--qmax`` on primc-weighted, which erases
   ``b``: ``verify`` theorem-6 and theorem-7, ``check-eq primc-eg`` and
-  ``enumerate``.
+  ``enumerate``; and on the cases that set colour variables to 1:
+  ``verify`` theorem-1 and primc-conjecture.
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
@@ -68,7 +69,9 @@ DISCOVER = (("schur-dilated-mod3", "18"), ("siladic-dilated-free", "24"),
 ERASED_CAPPED = (("verify", "theorem-6", "--qmax", "16", "--degmax", "6"),
                  ("verify", "theorem-7", "--qmax", "20", "--degmax", "6"),
                  ("check-eq", "primc-eg", "--qmax", "16", "--degmax", "4"),
-                 ("enumerate", "primc-weighted", "--qmax", "10", "--degmax", "3"))
+                 ("enumerate", "primc-weighted", "--qmax", "10", "--degmax", "3"),
+                 ("verify", "theorem-1", "--qmax", "20", "--degmax", "3"),
+                 ("verify", "primc-conjecture", "--qmax", "28", "--degmax", "25"))
 
 
 def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:

@@ -89,11 +89,11 @@ def _load_json_file(path: str) -> object:
 
 def _from_json(cls, data: object, path: str):
     """``cls.from_json(data)``, with malformed input reported as a usage
-    error that names the file; the package's own errors pass unchanged."""
+    error that names the file, and the package's own refusals too."""
     try:
         return cls.from_json(data)
-    except _PACKAGE_ERRORS:
-        raise
+    except _PACKAGE_ERRORS as exc:
+        raise CliError(f"{path}: {exc}") from exc
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise CliError(f"{path}: malformed {cls.__name__} JSON "
                        f"({type(exc).__name__}: {exc})") from exc

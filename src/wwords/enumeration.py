@@ -6,6 +6,9 @@ first, and counts it once.  It shares no recursion logic, and no table,
 with the recurrence engine, so agreement between the two is a real
 cross-check.
 
+Its parts and their weights come from ``ColouredSystem.graded_parts``,
+which holds the termination rule every engine shares.
+
 The walk runs over continuation states.  What may follow a chain depends
 on its last part's rule (the largest size of each lower (colour, over)
 group that may sit directly below it: the gap is read once per gap-matrix
@@ -103,32 +106,27 @@ def is_valid_partition(sys: ColouredSystem,
 
 
 def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
-          label: Callable[[ColouredPart], object], root) -> list[dict]:
+          label: Callable[[ColouredPart, Monomial], object],
+          root) -> list[dict]:
     """Count every valid partition of size at most qmax, and of colour
     degree at most degmax, by its label: one dict label -> count per size.
 
-    ``root`` is the empty partition's label and ``label(p)`` each part's; a
-    chain's label is root + label(p1) + label(p2) + ... .  The walk keeps
-    its own stack, so neither the number of parts nor the degree room is
-    bounded by Python's recursion limit.
+    ``root`` is the empty partition's label and ``label(p, w)`` that of a
+    part p of weight w; a chain's label is root + label(p1, w1) + ... .
+    The walk keeps its own stack, so neither the number of parts nor the
+    degree room is bounded by Python's recursion limit.
     """
-    if qmax < 0:
-        raise ValueError("qmax must be >= 0")
-    sys.check_termination(degmax)
     budget = _node_budget()
     # a lower part's (colour, over) group fixes its weight, and with the
     # upper part its gap; each group's parts come ascending by size.
     # Without a cap every degree reads 0, so every part fits any room
-    grouped: dict[tuple[str, bool], list[ColouredPart]] = {}
-    for p in sys.parts_up_to(qmax):
-        grouped.setdefault((p.colour, p.over), []).append(p)
-    groups = [(group, 0 if degmax is None else sys.part_weight(group[0]).degree)
-              for group in grouped.values()]
-    groups = [(group, deg) for group, deg in groups
-              if degmax is None or deg <= degmax]
-    reps = [group[0] for group, _ in groups]
-    sizes = [[p.size for p in group] for group, _ in groups]
-    degs = [deg for _, deg in groups]
+    grouped: dict[tuple[str, bool], tuple[Monomial, list[ColouredPart]]] = {}
+    for p, w, _ in sys.graded_parts(qmax, degmax):
+        grouped.setdefault((p.colour, p.over), (w, []))[1].append(p)
+    groups = list(grouped.values())
+    reps = [group[0] for _, group in groups]
+    sizes = [[p.size for p in group] for _, group in groups]
+    degs = [0 if degmax is None else w.degree for w, _ in groups]
     top = max(degs, default=0)
     # a part's rule: per group, the largest size that may sit directly
     # below it.  The gap reads only the part's gap-matrix row, so parts of
@@ -137,7 +135,7 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
     rules: dict[tuple[str, int], int] = {}
     limits: list[list[int]] = []
     rule_of: dict[ColouredPart, int] = {}
-    for group, _ in groups:
+    for _, group in groups:
         for p in group:
             rule = rules.setdefault((sys.gap.row_class(p), p.size), len(limits))
             if rule == len(limits):
@@ -151,8 +149,8 @@ def _walk(sys: ColouredSystem, qmax: int, degmax: int | None,
              for d in range(top + 1)] for lims in limits]
     # one entry per part, shared by every state it continues:
     # (size, label, rule, degree, need of its rule)
-    entries = [[(p.size, label(p), rule_of[p], deg, need[rule_of[p]])
-                for p in group] for group, deg in groups]
+    entries = [[(p.size, label(p, w), rule_of[p], deg, need[rule_of[p]])
+                for p in group] for (w, group), deg in zip(groups, degs)]
     # a state: the parts that may follow a part of one rule within a
     # degree room, ascending by size, so that a size room is a prefix
     states: dict[int, list] = {}
@@ -205,7 +203,7 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
     # partition is one too: before a field of a sum could carry into the
     # next, a prefix holds an exponent at the bound, and decoding raises
     buckets = _decode_buckets(
-        _walk(sys, qmax, degmax, lambda p: sys.part_weight(p)._code, 0))
+        _walk(sys, qmax, degmax, lambda p, w: w._code, 0))
     return TruncatedSeries(buckets, degmax)
 
 
@@ -213,7 +211,7 @@ def list_partitions(sys: ColouredSystem, n: int,
                     degmax: int | None = None) -> list[tuple[ColouredPart, ...]]:
     """All valid partitions of total size exactly n, each listed largest part
     first, ordered lexicographically by their rank sequences."""
-    found = list(_walk(sys, n, degmax, lambda p: (p,), ())[n])
+    found = list(_walk(sys, n, degmax, lambda p, w: (p,), ())[n])
     found.sort(key=lambda ch: [sys.part_key(p) for p in ch])
     return found
 
@@ -222,4 +220,4 @@ def count_partitions(sys: ColouredSystem, qmax: int,
                      degmax: int | None = None) -> list[int]:
     """Number of valid partitions of each 0..qmax (weights ignored)."""
     return [sum(by_label.values())
-            for by_label in _walk(sys, qmax, degmax, lambda p: 0, 0)]
+            for by_label in _walk(sys, qmax, degmax, lambda p, w: 0, 0)]

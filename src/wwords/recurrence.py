@@ -27,19 +27,18 @@ function (everything with size <= qmax) faster, so ``dp_series`` uses it.
 There a group's parts still to come are smaller, so its running sums are
 cut hardly at all.
 
-Part weights come from ``ColouredSystem.part_weight``, which sets erased
-variables to 1: they never enter the tables, and a degree cap counts only
-the variables the series keeps, as in every other engine.
+Parts, weights and grades come from ``ColouredSystem.graded_parts``, as
+in the enumeration walk: erased variables never enter the tables, and
+one rule refuses what no engine can stop on.
 
 Under a dilation (``dp_series(..., dilation=d)``) the tables are graded by
 dilated size: a part of size n whose colour weighs mu, erased variables
 included, sits at g = m*n + sum of shift(v)*exponent(v) over mu, the size
 of its dilated part, and the total is the series of the dilated system,
-as ``dilate_system`` builds it.  The tables take exactly the parts
-with g in 0..qmax, and refuse a part with g < 0, or with g = 0 and no
-degmax, and a shift on a variable that no colour weight carries, as the
-dilated system itself is refused; so no g is negative, and a chain past
-qmax stays past it.  The running sums are cut at qmax - g in the same way.
+as ``dilate_system`` builds it.  ``graded_parts`` refuses the parts and
+shifts that the dilated system refuses, so no g is negative, and a chain
+past qmax stays past it.  The running sums are cut at qmax - g in the
+same way.
 
 The module also models the recurrences / initial conditions / functional
 equations / q-difference equations such systems satisfy, as EquationSpec
@@ -66,8 +65,7 @@ from .algebra import (
     _zero_buckets,
     substitute,
 )
-from .systems import (ColouredPart, ColouredSystem, DilationSpec,
-                      SystemSpecError, _check_shifts_carried, build_preset)
+from .systems import ColouredPart, ColouredSystem, DilationSpec, build_preset
 
 
 class RecurrenceError(ValueError):
@@ -92,30 +90,22 @@ class RecurrenceState:
     from prefix sums of the E tables, cached by the number of parts they
     cover.  The E tables are whole; the running sums they are built from
     hold only the buckets that the parts still to come read (see the
-    module docstring).  The part weights leave out erased variables, so
-    the tables, the lookups and a degree cap never see them.  A
-    ``dilation`` grades the tables by dilated size and keeps only the
-    total (see the module docstring).
+    module docstring).  The parts, weights and grades are
+    ``sys.graded_parts(qmax, degmax, dilation)``'s.  A ``dilation``
+    grades the tables by dilated size and keeps only the total.
     """
 
     def __init__(self, sys: ColouredSystem, qmax: int,
                  degmax: int | None = None, direction: str = "largest",
                  dilation: DilationSpec | None = None):
-        if qmax < 0:
-            raise ValueError("qmax must be >= 0")
         if direction not in ("largest", "smallest"):
             raise ValueError(f"unknown direction {direction!r}")
-        if dilation is None:
-            sys.check_termination(degmax)
-        else:
-            _check_shifts_carried(sys, dilation)
         self.sys = sys
         self.qmax = qmax
         self.degmax = degmax
         self.direction = direction
         self.dilation = dilation
         self._E: list[list[dict]] = []
-        self._total: list[dict] = _one_buckets(qmax)
         self._build()
         # G by the number of parts it covers; each series owns its buckets,
         # which a longer prefix copies before adding to them
@@ -126,24 +116,10 @@ class RecurrenceState:
 
     def _build(self) -> None:
         sys, qmax, degmax = self.sys, self.qmax, self.degmax
-        # a part sits at its dilated size g = m*size + offset of its colour's
-        # full weight, as dilate_system places it; with no dilation, the
-        # identity's g is the size.  g rises with size along each colour, so
-        # the least offset bounds the sizes of every part with g <= qmax
-        d = self.dilation or DilationSpec(1, {})
-        offsets = [d.offset_of(c.weight) for c in sys.colours]
         # each part with g <= qmax and within degmax: its weight and g
-        placed = {}
-        for p in sys.parts_up_to((qmax - min(offsets, default=0)) // d.modulus):
-            w = sys.part_weight(p)
-            g = d.modulus * p.size + d.offset_of(sys.colour(p.colour).weight)
-            if g < 0 or (g == 0 and (degmax is None or w.degree == 0)):
-                raise SystemSpecError(
-                    f"part {p} dilates to size {g}, which the dilated system "
-                    "refuses: a negative size, or a size-0 part without a "
-                    "degree bound (degmax) or of weight 1")
-            if g <= qmax and (degmax is None or w.degree <= degmax):
-                placed[p] = w, g
+        placed = {p: (w, g)
+                  for p, w, g in sys.graded_parts(qmax, degmax, self.dilation)}
+        self._total: list[dict] = _one_buckets(qmax)
         parts = list(placed)
         # sign +1 takes parts in rank order, each the new largest part, with
         # the next part below as its neighbour; sign -1 takes them in reverse

@@ -310,12 +310,19 @@ class ColouredSystem:
     description: str = ""
 
     _label_index: dict = field(default=None, repr=False, compare=False)
+    #: the variables some colour weight carries, overline marker excluded
+    carried_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "colours", tuple(self.colours))
         object.__setattr__(self, "forbidden_parts",
                            frozenset((int(s), c) for s, c in self.forbidden_parts))
         object.__setattr__(self, "erased_vars", tuple(self.erased_vars))
+        object.__setattr__(self, "carried_vars", frozenset(
+            v for c in self.colours for v, _ in c.weight.items))
+        unknown = sorted(set(self.erased_vars) - self.carried_vars)
+        if unknown:
+            raise SystemSpecError(f"erased {unknown} carried by no colour weight")
         index = {c.label: i for i, c in enumerate(self.colours)}
         if len(index) != len(self.colours):
             raise SystemSpecError("duplicate colour labels")
@@ -323,8 +330,7 @@ class ColouredSystem:
             if "~" in label or "|" in label:
                 raise SystemSpecError(f"colour label {label!r} holds '~' or '|', "
                                       "which mark gap-matrix columns and rows")
-        if any(v == self.overline_marker for c in self.colours
-               for v, _ in c.weight.items):
+        if self.overline_marker in self.carried_vars:
             raise SystemSpecError(f"overline marker {self.overline_marker!r} "
                                   "is also a colour weight variable")
         object.__setattr__(self, "_label_index", index)
@@ -401,32 +407,13 @@ class ColouredSystem:
             raise SystemSpecError(f"unknown colour {label!r}")
 
     def variables(self) -> list[str]:
-        vs = {name for c in self.colours for name, _ in c.weight.items}
-        if self.overline_marker:
-            vs.add(self.overline_marker)
-        return sorted(vs)
+        marker = {self.overline_marker} if self.overline_marker else set()
+        return sorted(self.carried_vars | marker)
 
     @property
     def has_zero_parts(self) -> bool:
         return any(c.domain.contains(0) and (0, c.label) not in self.forbidden_parts
                    for c in self.colours)
-
-    def check_termination(self, degmax: int | None) -> None:
-        """Size-0 parts can repeat without raising the size, so the engines
-        stop only on a colour-degree cap, and only if the weight of every
-        size-0 part keeps a variable once erased variables are set to 1."""
-        zero_parts = self.parts_up_to(0)
-        if not zero_parts:
-            return
-        if degmax is None:
-            raise SystemSpecError(
-                "system admits size-0 parts: a degree bound (degmax) is "
-                "needed for the engines to terminate")
-        for p in zero_parts:
-            if self.part_weight(p).degree == 0:
-                raise SystemSpecError(
-                    f"colour {p.colour!r} has size-0 parts of weight 1 "
-                    "(erased variables set to 1): the engines cannot terminate")
 
     # -- parts --------------------------------------------------------------
 
@@ -473,6 +460,47 @@ class ColouredSystem:
         out.sort(key=self.part_key)
         return out
 
+    def graded_parts(self, qmax: int, degmax: int | None = None,
+                     dilation: DilationSpec | None = None
+                     ) -> list[tuple[ColouredPart, Monomial, int]]:
+        """(part, part_weight, g) for every part an engine places, ascending
+        by part_key: g <= qmax and, under a cap, degree <= degmax.  g is the
+        size, or under a dilation the dilated part's, m*size + the offset of
+        the colour's full weight (erased variables included).
+
+        The one termination rule: a part at g = 0 repeats at no cost in
+        size, so it needs degmax and a weight that keeps a variable once
+        erased variables are set to 1; g < 0, and a shift on a variable no
+        colour weight carries, are refused as the dilated system is."""
+        if qmax < 0:
+            raise ValueError("qmax must be >= 0")
+        d = dilation or DilationSpec(1, {})
+        _check_shifts_carried(self, d)
+        offsets = {c.label: d.offset_of(c.weight) for c in self.colours}
+        weights: dict[tuple, Monomial] = {}  # per (colour, over) = p[1:]
+        out = []
+        # g rises with size along each colour
+        for p in self.parts_up_to(
+                (qmax - min(offsets.values(), default=0)) // d.modulus):
+            w = weights.get(p[1:])
+            if w is None:
+                w = weights[p[1:]] = self.part_weight(p)
+            g = d.modulus * p.size + offsets[p.colour]
+            if g < 0:
+                raise SystemSpecError(f"part {p} dilates to size {g} < 0, "
+                                      "which the dilated system refuses")
+            if g == 0 and degmax is None:
+                raise SystemSpecError(f"part {p} sits at size 0: size-0 parts "
+                                      "need a degree bound (degmax) for the "
+                                      "engines to stop")
+            if g == 0 and w.degree == 0:
+                raise SystemSpecError(f"part {p} sits at size 0: size-0 parts "
+                                      "of weight 1 (erased variables set to 1) "
+                                      "repeat without end under any cap")
+            if g <= qmax and (degmax is None or w.degree <= degmax):
+                out.append((p, w, g))
+        return out
+
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -495,10 +523,6 @@ class ColouredSystem:
     @classmethod
     def from_json(cls, data: dict) -> "ColouredSystem":
         colours = tuple(ColourDef.from_json(c) for c in data["colours"])
-        erased = _json_strs(data.get("erased", []))
-        unknown = set(erased) - {v for c in colours for v, _ in c.weight.items}
-        if unknown:
-            raise ValueError(f"erased {sorted(unknown)} carried by no colour weight")
         return cls(
             name=data.get("name", "custom"),
             colours=colours,
@@ -508,7 +532,7 @@ class ColouredSystem:
                                       for s, c in data.get("forbidden", ())),
             overline_marker=(None if data.get("overline_marker") is None
                              else _json_str(data["overline_marker"])),
-            erased_vars=erased,
+            erased_vars=_json_strs(data.get("erased", [])),
             description=data.get("description", ""),
         )
 
@@ -566,8 +590,7 @@ def _free_over_gap(labels: list[str]) -> MatrixGap:
 def _check_shifts_carried(sys: ColouredSystem, d: DilationSpec) -> None:
     """Refuse a dilation that shifts a variable which no colour weight of
     the system carries, such as the overline marker."""
-    carried = {v for c in sys.colours for v, _ in c.weight.items}
-    unknown = sorted(set(d.var_shifts) - carried)
+    unknown = sorted(set(d.var_shifts) - sys.carried_vars)
     if unknown:
         raise SystemSpecError(
             f"dilation shifts {', '.join(map(repr, unknown))}, which no "

@@ -164,10 +164,10 @@ def _system(name: str, erased: tuple[str, ...]) -> ColouredSystem:
 @cache
 def _erased_preset(name: str, erased: tuple[str, ...]) -> ColouredSystem:
     """Built and checked once per (preset, erased) pair.  A variable that
-    no colour weight carries is left out, as the JSON loader refuses it."""
+    no colour weight carries is left out, as the constructor refuses it."""
     sys = build_preset(name)
     return replace(sys, erased_vars=sys.erased_vars + tuple(
-        v for v in erased if any(c.weight.exponent(v) for c in sys.colours)))
+        v for v in erased if v in sys.carried_vars))
 
 
 def _relate(case: IdentityCase, f: TruncatedSeries,
@@ -420,7 +420,7 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
     if max_n is None:
         max_n = default_cap
     sys_b = build_preset(case.side_b)
-    pool = [chain for chains in _walk(sys_b, max_n, None, lambda p: (p,), ())
+    pool = [chain for chains in _walk(sys_b, max_n, None, lambda p, w: (p,), ())
             for chain in chains]
     # by size, then as list_partitions orders the partitions of one size
     pool.sort(key=lambda chain: (sum(p.size for p in chain),

@@ -116,9 +116,11 @@ def random_system(rng: random.Random, index: int) -> ColouredSystem | None:
                 for upper, cols in rows.items()}
     gap = MatrixGap(rows)
     order = rng.sample(range(len(labels)), len(labels))
-    # erasing b would give a size-0 part of weight b weight 1, which the
-    # engines refuse; the draw is still made, so later systems stay the same
-    erase = rng.random() < 0.3 and not any(
+    # b is erased only where a colour weight carries it, and not where a
+    # size-0 part of weight b would weigh 1, which the engines refuse; the
+    # draw is still made, so later systems stay the same
+    erase = rng.random() < 0.3 and any(
+        c.weight.exponent("b") for c in colours) and not any(
         c.domain.contains(0) and c.weight == Monomial.var("b") for c in colours)
     try:
         return ColouredSystem(

@@ -288,6 +288,15 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "size-0 parts of weight 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "primary-overpartitions(2)", "--qmax", "6"],
+        ["enumerate", "andrews-overpartitions(2)", "--list", "4"]])
+    def test_size_zero_parts_without_degmax_is_engine_error(self, argv):
+        # both walks read graded_parts, whose termination rule refuses them
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "size-0 parts need a degree bound (degmax)" in err
+
     @pytest.mark.parametrize("marker,reason", [
         (5, "expected a string"), (["t"], "expected a string"),
         (True, "expected a string"),

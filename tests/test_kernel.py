@@ -263,6 +263,61 @@ def test_erasing_is_setting_to_one_after_the_dilation():
     assert min(seen.values()) >= 5 and len(seen) == 7, seen
 
 
+def _dilated_refuses(sys, d, qmax, degmax) -> bool:
+    """Whether the engines refuse the dilated system: its construction
+    refuses it, or a size-0 part has no degree cap or weight 1."""
+    try:
+        dilated = dilate_system(sys, d)
+    except SystemSpecError:
+        return True
+    return any(degmax is None or dilated.part_weight(p).degree == 0
+               for p in dilated.parts_up_to(0))
+
+
+def test_grades_are_the_dilated_systems_sizes():
+    """On generated systems under random dilations, each (p, w, g) that
+    ``graded_parts`` lists is the part g of p's colour and overline in
+    ``dilate_system(sys, d)``, of weight w there, and the dilated system
+    has no other part of size <= qmax within the cap; both sides refuse
+    alike.  Undilated, the largest-part DP places exactly the listed
+    parts."""
+    rng = random.Random(4711)
+    seen = Counter()
+    for sys, qmax, own_degmax in _random_cases(31337):
+        # a cap of 1 leaves out the parts of degree-2 weights
+        for degmax in (None, own_degmax or 4, 1):
+            shifts = {v: rng.choice([-2, -1, 0, 1, 2, qmax])
+                      for v in sorted(sys.carried_vars)}
+            d = DilationSpec(rng.randrange(1, 5), shifts)
+            if _dilated_refuses(sys, d, qmax, degmax):
+                with pytest.raises(SystemSpecError):
+                    sys.graded_parts(qmax, degmax, d)
+                seen["refused"] += 1
+            else:
+                dilated = dilate_system(sys, d)
+                want = [(p, dilated.part_weight(p))
+                        for p in dilated.parts_up_to(qmax)]
+                want = [(p, w) for p, w in want
+                        if degmax is None or w.degree <= degmax]
+                got = [(ColouredPart(g, p.colour, p.over), w)
+                       for p, w, g in sys.graded_parts(qmax, degmax, d)]
+                assert got == want, (sys.to_json(), d, qmax, degmax)
+                seen["equal"] += 1
+                seen["capped out"] += degmax is not None and any(
+                    w.degree > degmax for w in map(
+                        dilated.part_weight, dilated.parts_up_to(qmax)))
+            try:
+                listed = [p for p, _, _ in sys.graded_parts(qmax, degmax)]
+            except SystemSpecError:
+                with pytest.raises(SystemSpecError):
+                    RecurrenceState(sys, qmax, degmax)
+                seen["undilated refused"] += 1
+                continue
+            assert RecurrenceState(sys, qmax, degmax).parts() == listed
+            seen["undilated"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
 def test_dp_refuses_a_shift_no_weight_carries():
     # the overline marker and an unknown variable: the DP once shifted every
     # plain part by the first and ignored the second

@@ -12,6 +12,7 @@ from wwords import (
     MatrixGap,
     Monomial,
     RankRule,
+    RecurrenceState,
     SizeDomain,
     SystemSpecError,
     build_preset,
@@ -395,13 +396,58 @@ def test_overline_marker_may_not_be_a_weight_variable():
 def test_size_zero_parts_of_erased_weight_refused():
     # the size-0 part weighs 1 once b is erased, so it repeats at no cost in
     # size or degree: the erased series has an infinite q^0 coefficient,
-    # which no cap bounds
+    # which no cap bounds.  Every engine refuses it (the table below); with
+    # b kept, the engines run and agree
     sys = erased_zero_system()
-    for engine in (enumerate_series, dp_series):
-        with pytest.raises(SystemSpecError, match="size-0 parts of weight 1"):
-            engine(sys, 4, 3)
+    with pytest.raises(SystemSpecError, match="size-0 parts of weight 1"):
+        sys.graded_parts(4, 3)
     kept = dataclasses.replace(sys, erased_vars=())
     assert enumerate_series(kept, 4, 3) == dp_series(kept, 4, 3)
+
+
+def _engines(d):
+    """Every engine that runs a system under the dilation d, or undilated
+    (d None): the undilated ones also run under the identity dilation."""
+    graded_by = d or DilationSpec(1, {})
+    run = [lambda s, q, dm: dp_series(s, q, dm, dilation=graded_by),
+           lambda s, q, dm: RecurrenceState(s, q, dm, "largest", d)]
+    if d is None:
+        run += [enumerate_series, dp_series]
+    return run
+
+
+@pytest.mark.parametrize("make,degmax,dilation,match", [
+    pytest.param(lambda: build_preset("primary-overpartitions(1)"), None, None,
+                 "degree bound \\(degmax\\)", id="size-0-without-degmax"),
+    pytest.param(erased_zero_system, 3, None, "size-0 parts of weight 1",
+                 id="size-0-of-weight-1"),
+    pytest.param(lambda: build_preset("schur-weighted"), None,
+                 DilationSpec(1, {"a": -1}), "1_a sits at size 0.*degmax",
+                 id="dilated-to-0-without-degmax"),
+    pytest.param(lambda: build_preset("schur-weighted"), 3,
+                 DilationSpec(1, {"a": -2}), "1_a dilates to size -1",
+                 id="dilated-below-0"),
+    pytest.param(lambda: build_preset("primary-overpartitions(1)"), 3,
+                 DilationSpec(1, {"t": 1}), "'t', which no colour weight",
+                 id="shift-on-overline-marker"),
+])
+def test_every_engine_refuses_alike(make, degmax, dilation, match):
+    """One termination rule, ``ColouredSystem.graded_parts``: each refused
+    input raises the same SystemSpecError from every engine it applies to."""
+    sys = make()
+    messages = set()
+    for engine in _engines(dilation):
+        with pytest.raises(SystemSpecError, match=match) as refused:
+            engine(sys, 4, degmax)
+        messages.add(str(refused.value))
+    assert len(messages) == 1, messages
+
+
+def test_every_engine_refuses_a_negative_qmax():
+    # the bound is checked where the parts are listed, before any table
+    for engine in _engines(None):
+        with pytest.raises(ValueError, match="qmax must be >= 0"):
+            engine(build_preset("schur-weighted"), -1, None)
 
 
 # ---------------------------------------------------------------------------

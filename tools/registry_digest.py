@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 89 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 91 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -24,7 +24,10 @@ byte-identical JSON and the same exit codes on every run:
 * runs with ``--degmax`` below ``--qmax`` on primc-weighted, which erases
   ``b``: ``verify`` theorem-6 and theorem-7, ``check-eq primc-eg`` and
   ``enumerate``; and on the cases that set colour variables to 1:
-  ``verify`` theorem-1 and primc-conjecture.
+  ``verify`` theorem-1 and primc-conjecture;
+* runs the engines refuse, each with exit 2 and its error document:
+  ``enumerate`` and ``enumerate --list`` on an overpartition family,
+  whose size-0 parts need ``--degmax``, without it.
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
@@ -73,6 +76,9 @@ ERASED_CAPPED = (("verify", "theorem-6", "--qmax", "16", "--degmax", "6"),
                  ("verify", "theorem-1", "--qmax", "20", "--degmax", "3"),
                  ("verify", "primc-conjecture", "--qmax", "28", "--degmax", "25"))
 
+REFUSED = (("enumerate", "primary-overpartitions(2)", "--qmax", "6"),
+           ("enumerate", "andrews-overpartitions(2)", "--list", "4"))
+
 
 def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -106,7 +112,7 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
              for system, q, *more in DISCOVER]
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
              for system, m, shifts in reg["dilations"]]
-    cmds += [list(cmd) for cmd in ERASED_CAPPED]
+    cmds += [list(cmd) for cmd in ERASED_CAPPED + REFUSED]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 

@@ -192,10 +192,6 @@ def _cmd_list_presets(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    if args.identity not in identity_names():
-        raise CliError(
-            f"unknown identity {args.identity!r} "
-            f"(known: {', '.join(identity_names())})")
     kwargs: dict = {}
     if args.qmax is not None:
         kwargs["qmax"] = args.qmax

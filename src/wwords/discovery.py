@@ -98,19 +98,6 @@ class PeriodicPattern:
         }
 
 
-def _exponent_rows(table, qmax: int) -> list[dict]:
-    """Organize euler_factorize output into per-degree exponent dictionaries."""
-    rows: list[dict] = [dict() for _ in range(qmax + 1)]
-    for mono, n, e in table:
-        if e and n <= qmax:
-            merged = rows[n].get(mono, 0) + e
-            if merged:
-                rows[n][mono] = merged
-            else:
-                rows[n].pop(mono, None)
-    return rows
-
-
 def _pairs(qmax: int) -> list[tuple[int, int]]:
     """Candidate (period, initial) pairs for a window ``0..qmax``, smallest first.
 
@@ -161,7 +148,10 @@ def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
     ``f.truncate(n)``.
     """
     qmax = f.qmax
-    rows = _exponent_rows(euler_factorize(f), qmax)
+    # euler_factorize lists each (mono, n) once, with e != 0 and n <= qmax
+    rows: list[dict] = [{} for _ in range(qmax + 1)]
+    for mono, n, e in euler_factorize(f):
+        rows[n][mono] = e
     if all(not row for row in rows):
         return PeriodicPattern(1, 0, ProductSpec([]), 0)
     found = _periods(rows, _pairs(qmax), qmax)

@@ -123,7 +123,7 @@ class ColourDef:
     @classmethod
     def from_json(cls, data: dict) -> "ColourDef":
         return cls(
-            label=data["label"],
+            label=_json_str(data["label"]),
             weight=Monomial.from_dict(data.get("weight", {})),
             domain=SizeDomain.from_json(data.get("domain", {})),
             overline_allowed=_json_bool(data.get("overline", False)),
@@ -524,16 +524,16 @@ class ColouredSystem:
     def from_json(cls, data: dict) -> "ColouredSystem":
         colours = tuple(ColourDef.from_json(c) for c in data["colours"])
         return cls(
-            name=data.get("name", "custom"),
+            name=_json_str(data.get("name", "custom")),
             colours=colours,
             gap=MatrixGap.from_json(data["gap"], [c.label for c in colours]),
             rank_rule=RankRule.from_json(data["rank"]),
-            forbidden_parts=frozenset((_json_int(s), c)
+            forbidden_parts=frozenset((_json_int(s), _json_str(c))
                                       for s, c in data.get("forbidden", ())),
             overline_marker=(None if data.get("overline_marker") is None
                              else _json_str(data["overline_marker"])),
             erased_vars=_json_strs(data.get("erased", [])),
-            description=data.get("description", ""),
+            description=_json_str(data.get("description", "")),
         )
 
 

@@ -5,7 +5,10 @@ coloured system with difference conditions (the B side) whose generating
 function is claimed to equal an independently computed A side — an infinite
 product, a plainly countable second system, or both.  ``verify_identity``
 computes every requested engine to the same truncation order and compares
-all results pairwise, exactly.
+the series they return pairwise, exactly.  A case's colour relation (such
+as c = ab) and its erased variables (set to 1) are statements about part
+weights: they live in the part weights of the systems the case runs, so no
+step follows an engine.
 
 Engines:
 
@@ -34,9 +37,10 @@ import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cache
+from math import prod
 
-from .algebra import (Monomial, ProductFactor, ProductSpec, SubstitutionMap,
-                      TruncatedSeries, product_expand, substitute)
+from .algebra import (Monomial, ProductFactor, ProductSpec, TruncatedSeries,
+                      product_expand)
 from .enumeration import _walk, enumerate_series, partition_weight
 from .recurrence import dp_series
 from .systems import (ColouredPart, ColouredSystem, DilationSpec, build_preset,
@@ -78,10 +82,11 @@ class IdentityCase:
 
     ``side_b`` names the preset system carrying the difference conditions.
     The A side is ``product`` (an infinite product), ``side_a`` (a second
-    system counting the same objects), or both.  ``relation`` substitutes
-    B-side colour variables by monomials (e.g. ``c -> ab``).  ``erased``
-    names the variables the identity sets to 1: every system the case runs
-    leaves them out of its part weights, keeping their dilation shifts.
+    system counting the same objects), or both.  ``relation`` maps colour
+    variables to monomials (e.g. ``c -> ab``): every system the case runs
+    weighs its parts with the images.  ``erased`` names the variables the
+    identity sets to 1: every system the case runs leaves them out of its
+    part weights, keeping their dilation shifts.
     ``dilation_of``/``dilation`` enable the ``dilation`` engine.  A case
     with ``conventions`` tries each named variant of the B side and asserts
     that exactly one matches the A side.  ``statistic`` names a textual
@@ -156,53 +161,49 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _system(name: str, erased: tuple[str, ...]) -> ColouredSystem:
-    """The preset, with ``erased`` left out of its part weights."""
-    return _erased_preset(name, erased) if erased else build_preset(name)
+def _system(name: str, erased: tuple[str, ...],
+            relation: tuple[tuple[str, Monomial], ...]) -> ColouredSystem:
+    """The preset as a case runs it."""
+    return (_case_preset(name, erased, relation) if erased or relation
+            else build_preset(name))
 
 
 @cache
-def _erased_preset(name: str, erased: tuple[str, ...]) -> ColouredSystem:
-    """Built and checked once per (preset, erased) pair.  A variable that
-    no colour weight carries is left out, as the constructor refuses it."""
+def _case_preset(name: str, erased: tuple[str, ...],
+                 relation: tuple[tuple[str, Monomial], ...]) -> ColouredSystem:
+    """Built and checked once per key.  Each colour weight takes the
+    related variables' images (under ``c -> ab`` colour c weighs ab), and
+    the erased variables leave the part weights.  Both act only on
+    variables some colour weight carries: no other weight changes, and the
+    constructor refuses erasing another."""
     sys = build_preset(name)
-    return replace(sys, erased_vars=sys.erased_vars + tuple(
+    images = dict(relation)
+    colours = tuple(
+        replace(c, weight=prod((images.get(v, Monomial.var(v)) ** e
+                                for v, e in c.weight.items),
+                               start=Monomial.one()))
+        for c in sys.colours)
+    return replace(sys, colours=colours, erased_vars=sys.erased_vars + tuple(
         v for v in erased if v in sys.carried_vars))
 
 
-def _relate(case: IdentityCase, f: TruncatedSeries,
-            qmax: int) -> TruncatedSeries:
-    """The case's colour relation, applied to a B-side series."""
-    if not case.relation:
-        return f
-    images = {v: (Monomial.from_dict(dict(mono)), 0)
-              for v, mono in case.relation.items()}
-    return substitute(f, SubstitutionMap(1, images), qmax, f.degmax)
+def _engine_series(case: IdentityCase, engine: str, side_b: str,
+                   qmax: int, degmax: int | None) -> list[TruncatedSeries]:
+    """Every series one engine contributes, with ``side_b`` as the B side."""
+    relation = tuple((v, Monomial.from_dict(mono))
+                     for v, mono in (case.relation or {}).items())
 
+    def system(name: str) -> ColouredSystem:
+        return _system(name, case.erased, relation)
 
-def _engine_series(case: IdentityCase, engine: str, side_b_name: str,
-                   qmax: int, degmax: int | None
-                   ) -> list[tuple[str, TruncatedSeries]]:
-    """All (label, series) pairs one engine contributes."""
-    if engine in ("enum", "recurrence"):
-        def series(name: str) -> TruncatedSeries:
-            sys = _system(name, case.erased)
-            if engine == "enum":
-                return enumerate_series(sys, qmax, degmax)
-            return dp_series(sys, qmax, degmax)
-
-        out = [(engine, _relate(case, series(side_b_name), qmax))]
-        if case.side_a is not None:
-            out.append((f"{engine}-A", series(case.side_a)))
-        return out
     if engine == "product":
-        return [("product", product_expand(case.product, qmax, degmax))]
+        return [product_expand(case.product, qmax, degmax)]
     if engine == "dilation":
-        dilated = dp_series(_system(case.dilation_of, case.erased), qmax,
-                            degmax, case.dilation)
-        return [("dilation", _relate(case, dilated, qmax))]
-    raise VerificationError(
-        f"unknown engine {engine!r}; engines: {', '.join(ENGINES)}")
+        return [dp_series(system(case.dilation_of), qmax, degmax,
+                          case.dilation)]
+    run = enumerate_series if engine == "enum" else dp_series
+    return [run(system(name), qmax, degmax)
+            for name in (side_b, case.side_a) if name is not None]
 
 
 def _first_mismatch(fa: TruncatedSeries,
@@ -221,11 +222,10 @@ def _first_mismatch(fa: TruncatedSeries,
     return None
 
 
-def _compare_all(series: list[tuple[str, TruncatedSeries]]
-                 ) -> tuple[bool, dict | None]:
+def _compare_all(series: list[TruncatedSeries]) -> tuple[bool, dict | None]:
     for i in range(len(series)):
         for j in range(i + 1, len(series)):
-            mismatch = _first_mismatch(series[i][1], series[j][1])
+            mismatch = _first_mismatch(series[i], series[j])
             if mismatch is not None:
                 return False, mismatch
     return True, None
@@ -271,7 +271,6 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
                     f"engine {eng!r} is not applicable to {case.name}; "
                     f"applicable engines: {', '.join(applicable)}")
 
-    conventions: dict = {}
     if case.conventions:
         if "product" not in chosen:
             raise VerificationError(
@@ -281,35 +280,26 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
             raise VerificationError(
                 f"{case.name} needs a system engine (enum or recurrence) to "
                 "attempt each convention")
-        product_pairs = _engine_series(case, "product", case.side_b, qmax,
-                                       degmax)
-        passed: list[str] = []
-        failed: list[str] = []
-        mismatch: dict | None = None
-        for conv_name, preset in case.conventions.items():
-            pairs = list(product_pairs)
-            for eng in chosen:
-                if eng != "product":
-                    pairs.extend(_engine_series(case, eng, preset, qmax,
-                                                degmax))
-            ok, first = _compare_all(pairs)
-            (passed if ok else failed).append(conv_name)
-            if not ok and mismatch is None:
-                mismatch = first
-        equal = len(passed) == 1
+    passed: list[str | None] = []
+    failed: list[str | None] = []
+    mismatch: dict | None = None
+    for conv_name, preset in (case.conventions or {None: case.side_b}).items():
+        ok, first = _compare_all([
+            f for eng in chosen
+            for f in _engine_series(case, eng, preset, qmax, degmax)])
+        (passed if ok else failed).append(conv_name)
+        mismatch = mismatch or first
+    equal = len(passed) == 1
+    conventions: dict = {}
+    if case.conventions:
         conventions = {"passed": passed, "failed": failed,
                        "resolved": passed[0] if equal else None}
-        if equal:
-            mismatch = None
-        elif mismatch is None:
+        if not equal and mismatch is None:
             raise VerificationError(
                 f"conventions {passed} of {case.name} are indistinguishable "
                 f"at qmax={qmax}; raise qmax")
-    else:
-        pairs = []
-        for eng in chosen:
-            pairs.extend(_engine_series(case, eng, case.side_b, qmax, degmax))
-        equal, mismatch = _compare_all(pairs)
+    if equal:
+        mismatch = None
 
     ms = int((time.monotonic() - started) * 1000)
     return Report(identity=case.name, qmax=qmax, degmax=degmax,

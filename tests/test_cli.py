@@ -13,6 +13,9 @@ import pytest
 import wwords.verify
 from wwords import (
     MatrixGap,
+    Monomial,
+    ProductFactor,
+    ProductSpec,
     TruncatedSeries,
     build_preset,
     enumerate_series,
@@ -135,6 +138,28 @@ class TestVerify:
         assert "unknown identity" in err
         assert "usage:" in err
         assert json.loads(out) == {"error": err.splitlines()[0][len("error: "):]}
+
+    def test_indistinguishable_conventions_are_usage_error(self):
+        code, out, err = run(["--format", "json", "verify", "theorem-3",
+                              "--qmax", "0"])
+        assert code == 2
+        assert "indistinguishable" in err
+        assert json.loads(out) == {"error": err.splitlines()[0][len("error: "):]}
+
+    def test_conventions_all_failing_exit_one(self, monkeypatch):
+        cases = wwords.verify.identity_cases()
+        wrong = ProductSpec([ProductFactor(-1, Monomial.var("a"), 1, 1, -1),
+                             ProductFactor(-1, Monomial.var("b"), 2, 1, -1)])
+        cases["theorem-3"] = dataclasses.replace(cases["theorem-3"],
+                                                 product=wrong)
+        monkeypatch.setattr(wwords.verify, "identity_cases", lambda: cases)
+        code, doc, _ = run_json(["verify", "theorem-3", "--qmax", "10"])
+        assert code == 1
+        assert doc["conventions"] == {"passed": [], "failed": ["A", "B"],
+                                      "resolved": None}
+        # engines in request order: enumeration's 1 before the product's 0
+        assert doc["first_mismatch"] == {"n": 1, "monomial": {"b": 1},
+                                         "lhs": "1", "rhs": "0"}
 
     def test_inapplicable_engine_is_engine_error(self):
         code, out, err = run(["verify", "theorem-2", "--engines", "dilation"])
@@ -620,6 +645,14 @@ def _good_input(kind):
                  id="system-uncarried-erased"),
     pytest.param("system", lambda d: d.update(erased=[1]),
                  id="system-number-erased"),
+    pytest.param("system", lambda d: d.update(name=["x", {"y": 1}]),
+                 id="system-list-name"),
+    pytest.param("system", lambda d: d.update(description=7),
+                 id="system-number-description"),
+    pytest.param("system", lambda d: d["colours"][0].update(label=7),
+                 id="system-number-label"),
+    pytest.param("system", lambda d: d.update(forbidden=[[1, 7]]),
+                 id="system-number-forbidden-colour"),
     pytest.param("product", lambda d: d[0].pop("start"),
                  id="product-no-start"),
     pytest.param("product", lambda d: d[1].update(power="x"),

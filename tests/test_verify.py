@@ -1,22 +1,29 @@
 """Tests for the identity registry and the multi-engine verifier."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
 import oracles
 from wwords import (
+    ColouredSystem,
     Monomial,
     Polynomial,
     ProductFactor,
     ProductSpec,
+    SubstitutionMap,
+    SystemSpecError,
     TruncatedSeries,
     build_preset,
     count_partitions,
     dp_series,
     enumerate_series,
     list_partitions,
+    substitute,
 )
+from wwords import verify
 from wwords.verify import (
     ENGINES,
     VerificationError,
@@ -29,7 +36,7 @@ from wwords.verify import (
     verify_identity,
 )
 
-from helpers import cap_degree, constant
+from helpers import cap_degree, constant, random_system
 
 REPORT_KEYS = {"identity", "qmax", "degmax", "engines", "equal",
                "first_mismatch", "conventions", "ms"}
@@ -190,6 +197,12 @@ def test_conventions_require_product_engine():
         verify_identity("theorem-3", engines=["product"])
 
 
+def test_conventions_indistinguishable_at_a_short_order():
+    # at q^0 both conventions match the product
+    with pytest.raises(VerificationError, match="indistinguishable"):
+        verify_identity("theorem-3", qmax=0)
+
+
 def test_non_convention_reports_have_empty_conventions():
     assert verify_identity("theorem-2", qmax=10).conventions == {}
 
@@ -216,6 +229,26 @@ def test_mismatch_is_located_exactly():
     assert mism["monomial"] == {"b": 1}
     assert mism["lhs"] == "1"
     assert mism["rhs"] == "0"
+
+
+def wrong_conventions_case():
+    """theorem-3 with the wrong product, which no convention matches."""
+    return dataclasses.replace(identity_case("theorem-3"),
+                               product=wrong_product_case().product)
+
+
+def test_conventions_all_failing_report_in_request_order():
+    report = verify_identity(wrong_conventions_case(), qmax=10)
+    assert report.equal is False
+    assert report.conventions == {"passed": [], "failed": ["A", "B"],
+                                  "resolved": None}
+    # the first convention's B side, enumerated first, against the product
+    assert report.first_mismatch == {"n": 1, "monomial": {"b": 1},
+                                     "lhs": "1", "rhs": "0"}
+    swapped = verify_identity(wrong_conventions_case(), qmax=10,
+                              engines=["product", "recurrence"])
+    assert swapped.first_mismatch == {"n": 1, "monomial": {"b": 1},
+                                      "lhs": "0", "rhs": "1"}
 
 
 def test_unequal_implies_mismatch_populated():
@@ -428,6 +461,70 @@ def test_dropping_cases_are_listed():
         if case.product is not None:
             carried = {v for f in case.product.factors for v, _ in f.mono.items}
             assert not carried & set(case.erased), name
+
+
+def test_relations_are_b_side_weights():
+    related = {n: c for n, c in identity_cases().items() if c.relation}
+    assert set(related) == {"schur-dilated"}
+    for name, case in related.items():
+        images = [Monomial.from_dict(m) for m in case.relation.values()]
+        # an image of 1 is erasure, which ``erased`` states
+        assert all(m.degree >= 1 for m in images), name
+        assert set(case.relation) <= build_preset(case.side_b).carried_vars
+        # so the relation leaves the A side and the dilation source alone
+        for other in (case.side_a, case.dilation_of):
+            if other is not None:
+                carried = build_preset(other).carried_vars
+                assert not carried & set(case.relation), (name, other)
+
+
+def test_related_weights_give_the_substituted_series(monkeypatch):
+    """Relating variables in the colour weights gives the series of the
+    original system with the relation substituted, exponents included:
+    weights carry a related variable squared, as siladic's a^2 does."""
+    rng = random.Random(1729)
+    systems: dict[str, ColouredSystem] = {}
+    monkeypatch.setattr(verify, "build_preset", systems.__getitem__)
+    seen = Counter()
+    for index in range(120):
+        sys = random_system(rng, index)
+        if sys is None:
+            continue
+        free = sorted(sys.carried_vars - set(sys.erased_vars))
+        if not free:
+            continue
+        related = rng.sample(free, rng.randrange(1, len(free) + 1))
+        square = related[0]
+        sys = dataclasses.replace(sys, colours=tuple(
+            dataclasses.replace(c, weight=c.weight * Monomial.var(square))
+            if c.weight.exponent(square) and rng.random() < 0.5 else c
+            for c in sys.colours))
+        systems[sys.name] = sys
+        pool = [v for v in ("a", "b", "z") if v not in sys.erased_vars]
+        relation = tuple(
+            (v, Monomial.from_dict(Counter(
+                rng.choice(pool) for _ in range(rng.randrange(1, 3)))))
+            for v in related)
+        related_sys = verify._system(sys.name, (), relation)
+        sub = SubstitutionMap(1, {v: (m, 0) for v, m in relation})
+        qmax = rng.randrange(4, 9)
+        for degmax in (None, rng.randrange(1, 5)):
+            for engine in (enumerate_series, dp_series):
+                try:
+                    expected = substitute(engine(sys, qmax, degmax), sub,
+                                          qmax, degmax)
+                except SystemSpecError:
+                    with pytest.raises(SystemSpecError):
+                        engine(related_sys, qmax, degmax)
+                    seen["refused"] += 1
+                    continue
+                assert engine(related_sys, qmax, degmax) == expected, (
+                    sys.to_json(), relation, engine.__name__, qmax, degmax)
+                seen[engine.__name__, degmax is None] += 1
+                seen["squared"] += any(c.weight.exponent(square) > 1
+                                       for c in sys.colours)
+    verify._case_preset.cache_clear()
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
 
 
 @pytest.mark.parametrize("name", ["theorem-6", "theorem-7", *DROPPING_CASES])

@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 91 commands as ``python3 -m wwords.cli --format json ...`` against a
+Runs 95 commands as ``python3 -m wwords.cli --format json ...`` against a
 source tree and prints, for each, the sha256 of its standard output, its
 exit code and its arguments.  Two trees whose lines are identical gave
 byte-identical JSON and the same exit codes on every run:
@@ -27,7 +27,12 @@ byte-identical JSON and the same exit codes on every run:
   ``verify`` theorem-1 and primc-conjecture;
 * runs the engines refuse, each with exit 2 and its error document:
   ``enumerate`` and ``enumerate --list`` on an overpartition family,
-  whose size-0 parts need ``--degmax``, without it.
+  whose size-0 parts need ``--degmax``, without it;
+* ``verify`` on the colour relation c = ab of schur-dilated, capped by
+  ``--degmax`` with every engine and with enumeration against the
+  dilation engine, and on the small-part conventions of theorem-3 with
+  two engines and at ``--qmax 0``, where the conventions cannot be told
+  apart (exit 2).
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
@@ -79,6 +84,13 @@ ERASED_CAPPED = (("verify", "theorem-6", "--qmax", "16", "--degmax", "6"),
 REFUSED = (("enumerate", "primary-overpartitions(2)", "--qmax", "6"),
            ("enumerate", "andrews-overpartitions(2)", "--list", "4"))
 
+RELATED_AND_CONVENTIONS = (
+    ("verify", "schur-dilated", "--qmax", "30", "--degmax", "6"),
+    ("verify", "schur-dilated", "--qmax", "24", "--degmax", "3",
+     "--engines", "enum,dilation"),
+    ("verify", "theorem-3", "--engines", "recurrence,product", "--qmax", "24"),
+    ("verify", "theorem-3", "--qmax", "0"))
+
 
 def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -112,7 +124,8 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
              for system, q, *more in DISCOVER]
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
              for system, m, shifts in reg["dilations"]]
-    cmds += [list(cmd) for cmd in ERASED_CAPPED + REFUSED]
+    cmds += [list(cmd)
+             for cmd in ERASED_CAPPED + REFUSED + RELATED_AND_CONVENTIONS]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 

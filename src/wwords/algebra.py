@@ -32,19 +32,21 @@ any truncation order the engines can run.
 
 A series is stored as buckets (``list[dict[Monomial, int]]``, index =
 power of q, no zero coefficients), and every series operation in the
-package runs on one in-place kernel over them: :func:`_add_shifted` adds a
-shifted, scaled copy of one series into another, and :func:`_factor_step`
-multiplies or divides by a binomial factor ``(1 - c*mono*q^n)^|e|`` in one
-pass; a product expansion multiplies before it divides.  The kernel only
-ever writes into buckets it has just made; a series, once built, never
-changes its buckets.
+package runs on one of two kernels over them.  One adds into buckets:
+:func:`_add_shifted` adds a shifted, scaled copy of one series into
+another, and :func:`_factor_step` multiplies or divides by a binomial
+factor ``(1 - c*mono*q^n)^|e|`` in one pass; a product expansion
+multiplies before it divides.  The other moves terms: :func:`_map_terms`
+sends each term to a new monomial and power of q, as ``substitute`` and
+``specialize`` do.  The kernels only ever write into buckets they have
+just made; a series, once built, never changes its buckets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Mapping
+from math import comb, prod
+from typing import Callable, Iterable, Mapping
 
 
 class AlgebraError(ValueError):
@@ -244,6 +246,10 @@ def _decode_buckets(coded: list[dict[int, int]]) -> list[dict[Monomial, int]]:
     field that carried into the next one cannot be seen, so for each code
     whose summands carried, the buckets must also hold one with an
     exponent at the bound.
+
+    It keeps its own loop rather than :func:`_map_terms`: distinct codes
+    are distinct monomials, so no two terms meet and no sum cancels, and
+    the kernel's per-term work made decoding more than twice as slow.
     """
     names = list(_FIELDS)  # the field at offset i*FIELD_BITS is names[i]
     field = (1 << FIELD_BITS) - 1
@@ -436,6 +442,41 @@ def _factor_step(f: list[dict], c: int, mono: Monomial, n: int, e: int,
                 _add_bucket(dst, f[i - shift], mk, coeff, limit)
 
 
+def _map_terms(src: list[dict[Monomial, int]],
+               image: Callable[[Monomial], tuple[Monomial, int, int]],
+               qpower: int, new_qmax: int,
+               degmax: int | None = None) -> list[dict[Monomial, int]]:
+    """New buckets holding factor * c * mu' * q^(qpower*n + shift) for each
+    term c * mu * q^n of src, where image(mu) = (mu', shift, factor).
+
+    image runs once per distinct monomial of src.  Terms that land above
+    new_qmax or above colour degree degmax are dropped, and so are sums
+    that cancel; a negative exponent raises SubstitutionError.
+    """
+    images: dict[Monomial, tuple[Monomial, int, int]] = {}
+    out = _zero_buckets(new_qmax)
+    for n, bucket in enumerate(src):
+        base = qpower * n
+        for mono, coeff in bucket.items():
+            img = images.get(mono)
+            if img is None:
+                img = images[mono] = image(mono)
+            new_mono, shift, factor = img
+            e = base + shift
+            if e < 0:
+                raise SubstitutionError(
+                    f"term {mono}*q^{n} maps to negative exponent q^{e}")
+            if e > new_qmax or (degmax is not None and new_mono._degree > degmax):
+                continue
+            dst = out[e]
+            v = dst.get(new_mono, 0) + coeff * factor
+            if v:
+                dst[new_mono] = v
+            else:
+                dst.pop(new_mono, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
@@ -516,31 +557,14 @@ class TruncatedSeries:
 
     def specialize(self, assignments: Mapping[str, int]) -> "TruncatedSeries":
         """Set named variables to integer values (typically 1)."""
-        images: dict[Monomial, tuple[Monomial, int]] = {}
-        buckets = []
-        for bucket in self._b:
-            out: dict[Monomial, int] = {}
-            for mono, coeff in bucket.items():
-                image = images.get(mono)
-                if image is None:
-                    factor, kept = 1, []
-                    for name, exp in mono._items:
-                        value = assignments.get(name)
-                        if value is None:
-                            kept.append((name, exp))
-                        else:
-                            factor *= value ** exp
-                    image = images[mono] = (
-                        mono if len(kept) == len(mono._items) else Monomial(kept),
-                        factor)
-                key, factor = image
-                v = out.get(key, 0) + coeff * factor
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-            buckets.append(out)
-        return TruncatedSeries(buckets, self.degmax)
+        def image(mono: Monomial) -> tuple[Monomial, int, int]:
+            kept = [(n, e) for n, e in mono._items if n not in assignments]
+            factor = prod(assignments[n] ** e for n, e in mono._items
+                          if n in assignments)
+            return (mono if len(kept) == len(mono._items) else Monomial(kept),
+                    0, factor)
+        return TruncatedSeries(_map_terms(self._b, image, 1, self.qmax),
+                               self.degmax)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -602,28 +626,18 @@ class SubstitutionMap:
         return max((-s for _, s in self.images.values() if s < 0), default=0)
 
     def apply_monomial(self, mono: Monomial) -> tuple[Monomial, int]:
-        """Image of a monomial and the total q-shift it picks up.
-
-        The image's code is mono's, with each mapped variable's field
-        traded for its image's code as many times over; below the exponent
-        bound in total, no field of it can have carried.
-        """
-        images = self.images
-        code, degree, shift = mono._code, mono._degree, 0
+        """Image of a monomial and the total q-shift it picks up.  The
+        image goes through the constructor, which refuses an exponent at
+        the bound."""
+        items, shift = [], 0
         for name, exp in mono._items:
-            img = images.get(name)
-            if img is not None:
-                m, s = img
-                code += (m._code - (1 << _FIELDS[name])) * exp
-                degree += (m._degree - 1) * exp
-                shift += s * exp
-        out = _INTERNED.get(code) if degree < EXPONENT_BOUND else None
-        if out is None:
-            out = Monomial(
-                (n, e * exp) for name, exp in mono._items
-                for n, e in (images[name][0]._items if name in images
-                             else ((name, 1),)))
-        return out, shift
+            img = self.images.get(name)
+            if img is None:
+                items.append((name, exp))
+            else:
+                items.extend((n, e * exp) for n, e in img[0]._items)
+                shift += img[1] * exp
+        return Monomial(items), shift
 
     def to_json(self) -> dict:
         return {
@@ -681,26 +695,9 @@ def substitute(f: TruncatedSeries, sub: SubstitutionMap, new_qmax: int,
             raise SubstitutionError(
                 f"substitution window too small: {m}*{f.qmax} < {new_qmax}")
 
-    out = _zero_buckets(new_qmax)
-    for n, bucket in enumerate(f._b):
-        base = m * n
-        for mono, coeff in bucket.items():
-            new_mono, shift = sub.apply_monomial(mono)
-            e = base + shift
-            if e < 0:
-                raise SubstitutionError(
-                    f"term {mono}*q^{n} maps to negative exponent q^{e}")
-            if e > new_qmax:
-                continue
-            if degmax is not None and new_mono.degree > degmax:
-                continue
-            dst = out[e]
-            s = dst.get(new_mono, 0) + coeff
-            if s:
-                dst[new_mono] = s
-            else:
-                dst.pop(new_mono, None)
-    return TruncatedSeries(out, degmax)
+    return TruncatedSeries(
+        _map_terms(f._b, lambda mono: (*sub.apply_monomial(mono), 1),
+                   m, new_qmax, degmax), degmax)
 
 
 # ---------------------------------------------------------------------------

@@ -468,38 +468,63 @@ def _sum_terms(terms: Sequence[EqTerm], state: RecurrenceState, k: int,
     return TruncatedSeries(out, state.degmax)
 
 
-def _settled_k(spec: EquationSpec, state: RecurrenceState) -> int | None:
-    """The least k >= kmin from which no term of the equation changes with
-    k, or None if some coefficient or denominator form has alpha < 0 (it
-    raises EquationRangeError at some k instead) or names a colour the rank
-    rule does not know.
+def _failures(spec: EquationSpec, state: RecurrenceState, k: int) -> list[dict]:
+    """The failure entries of k, one per colour binding whose sides differ."""
+    out = []
+    for colour in spec.colours or (None,):
+        lhs = _sum_terms(spec.lhs, state, k, colour)
+        rhs = _sum_terms(spec.rhs, state, k, colour)
+        if lhs != rhs:
+            n = next(i for i in range(state.qmax + 1)
+                     if lhs.coefficient(i) != rhs.coefficient(i))
+            out.append({
+                "k": k,
+                **({"colour": colour} if colour else {}),
+                "first_mismatch_exponent": n,
+                "lhs_coefficient": str(lhs.coefficient(n)),
+                "rhs_coefficient": str(rhs.coefficient(n)),
+            })
+    return out
 
-    A term stops changing once its coefficient and denominator exponents
-    with alpha > 0 are past qmax (a monomial times q^e is then 0 and
-    1/(1 - q^e) is 1), a G of alpha > 0 covers every part of the table, an
-    E of alpha > 0 is past it, and a G or E of alpha < 0 has a negative
-    size; forms with alpha = 0 never change.
+
+def _settled_k(spec: EquationSpec, state: RecurrenceState, start: int,
+               sign: int) -> int | None:
+    """The k nearest to start on sign's side of it (the least k >= start
+    for sign 1, the greatest k <= start for sign -1) from which no term of
+    the equation changes as k moves further that way, or None if some
+    coefficient or denominator exponent falls as k moves that way (it
+    turns negative and raises EquationRangeError at some k instead) or a
+    G names a colour the rank rule does not know.
+
+    Moving k down is moving -k up, so each form alpha*k + beta is read as
+    (sign*alpha)*j + beta with j = sign*k, and the rule below is the one
+    for a rising j.  A term stops changing once its coefficient and
+    denominator exponents with alpha > 0 are past qmax (a monomial times
+    q^e is then 0 and 1/(1 - q^e) is 1), a G of alpha > 0 covers every
+    part of the table, an E of alpha > 0 is past it, and a G or E of
+    alpha < 0 has a negative size; forms with alpha = 0 never change.
     """
     rule, qmax = state.sys.rank_rule, state.qmax
     last = state._keys[-1][0] if state._keys else None
 
     def reach(e: Affine, target: int) -> int:
-        """The least k with e(k) >= target, for alpha > 0."""
+        """The least j with e(j) >= target, for alpha > 0."""
         return -((e[1] - target) // e[0])
 
-    ks = [spec.kmin]
+    ks = [sign * start]
     for t in spec.lhs + spec.rhs:
-        for e in [qexp for _, _, qexp in t.poly] + list(t.den):
-            if e[0] < 0:
+        for alpha, beta in [qexp for _, _, qexp in t.poly] + list(t.den):
+            if sign * alpha < 0:
                 return None
-            if e[0] > 0:
-                ks.append(reach(e, qmax + 1))
+            if alpha:
+                ks.append(reach((sign * alpha, beta), qmax + 1))
         if t.kind == "const" or t.size[0] == 0:
             continue
-        if t.size[0] < 0:
-            ks.append(reach((-t.size[0], -t.size[1]), 1))
+        size = (sign * t.size[0], t.size[1])
+        if size[0] < 0:
+            ks.append(reach((-size[0], -size[1]), 1))
         elif t.kind == "E":
-            ks.append(reach(t.size, qmax + 1))
+            ks.append(reach(size, qmax + 1))
         else:
             colours = (spec.colours or (None,)) if t.colour == "x" else (t.colour,)
             for colour in colours:
@@ -510,8 +535,8 @@ def _settled_k(spec: EquationSpec, state: RecurrenceState) -> int | None:
                 # reaches the last part's; below size 1 it may be 1 instead
                 cover = (1 if last is None
                          else max(1, reach((rule.mult, offset), last)))
-                ks.append(reach(t.size, cover))
-    return max(ks)
+                ks.append(reach(size, cover))
+    return sign * max(ks)
 
 
 def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
@@ -521,8 +546,10 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
     """Evaluate both sides for every k in range (and every colour binding)
     and compare the truncated series exactly.  Past the k at which no term
     changes any more (``_settled_k``) every k repeats that k's verdict, so
-    the check stops there; the report keeps the requested range.  A given
-    ``state`` must have been built for the same system, qmax and degmax."""
+    the check stops there.  Below the k under which no term changes either,
+    every k repeats kmin's verdict, so when kmin holds the check goes on
+    from there.  The report keeps the requested range.  A given ``state``
+    must have been built for the same system, qmax and degmax."""
     if sys is None:
         sys = build_preset(spec.system)
     if kmax is None:
@@ -537,26 +564,15 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
             f"the recurrence state was built for {state.sys.name} at qmax "
             f"{state.qmax}, degmax {state.degmax}; the check asks for "
             f"{sys.name} at qmax {qmax}, degmax {degmax}")
-    report = EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax, True)
-    bindings = spec.colours or (None,)
-    settled = _settled_k(spec, state)
-    stop = kmax if settled is None else min(kmax, max(spec.kmin, settled))
-    for k in range(spec.kmin, stop + 1):
-        for colour in bindings:
-            lhs = _sum_terms(spec.lhs, state, k, colour)
-            rhs = _sum_terms(spec.rhs, state, k, colour)
-            if lhs != rhs:
-                n = next(i for i in range(qmax + 1)
-                         if lhs.coefficient(i) != rhs.coefficient(i))
-                report.holds = False
-                report.failures.append({
-                    "k": k,
-                    **({"colour": colour} if colour else {}),
-                    "first_mismatch_exponent": n,
-                    "lhs_coefficient": str(lhs.coefficient(n)),
-                    "rhs_coefficient": str(rhs.coefficient(n)),
-                })
-    return report
+    settled = _settled_k(spec, state, spec.kmin, 1)
+    top = kmax if settled is None else min(kmax, settled)
+    low = _settled_k(spec, state, top, -1)
+    failures = _failures(spec, state, spec.kmin)
+    first = spec.kmin if failures or low is None else max(spec.kmin, low)
+    for k in range(first + 1, top + 1):
+        failures += _failures(spec, state, k)
+    return EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax,
+                          not failures, failures)
 
 
 # ---------------------------------------------------------------------------

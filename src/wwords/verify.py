@@ -43,8 +43,8 @@ from .algebra import (Monomial, ProductFactor, ProductSpec, TruncatedSeries,
                       product_expand)
 from .enumeration import _walk, enumerate_series, partition_weight
 from .recurrence import dp_series
-from .systems import (ColouredPart, ColouredSystem, DilationSpec, build_preset,
-                      preset_dilation)
+from .systems import (_COMPANION_DILATION, ColouredPart, ColouredSystem,
+                      DilationSpec, build_preset, preset_dilation)
 
 __all__ = [
     "ENGINES",
@@ -546,7 +546,7 @@ def identity_cases() -> dict[str, IdentityCase]:
             side_b="schur-companion",
             product=_mod3_product(),
             dilation_of="siladic-weighted",
-            dilation=DilationSpec(3, var_shifts={"a": -2, "b": -1}),
+            dilation=_COMPANION_DILATION,
             statistic="companion-mod6",
             qmax=60,
             note="ordinary/primed system with gaps 4..7 vs distinct parts "

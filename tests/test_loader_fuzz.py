@@ -191,6 +191,29 @@ def test_huge_kmax_default_ends(tmp_path):
     assert json.loads(out.getvalue())["k_range"] == [1, 10 ** 12]
 
 
+@pytest.mark.parametrize("keep_coefficients,code", [(False, 1), (True, 2)])
+def test_huge_negative_kmin_ends(tmp_path, keep_coefficients, code):
+    # checking each k from -10^12 kept this run from ending; without its
+    # coefficients every G below k = 0 is 0, and with them a q^k turns
+    # negative at kmin
+    doc = {**DOCUMENTS["equation-uncapped"][0], "kmin": -10 ** 12}
+    for side in () if keep_coefficients else ("lhs", "rhs"):
+        doc[side] = [{n: v for n, v in t.items() if n != "coeff"}
+                     for t in doc[side]]
+    path = tmp_path / "equation.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert _run_bounded(["--format", "json", "check-eq", str(path),
+                             "--qmax", "4"]) == code
+    report = json.loads(out.getvalue())
+    if code == 1:
+        assert report["k_range"] == [-10 ** 12, 15]
+        assert report["failures"][0]["k"] == 1
+    else:
+        assert "negative at k=-1000000000000" in report["error"]
+
+
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
 def test_spoiled_documents_give_package_errors_only(kind, tmp_path):
     @FUZZ

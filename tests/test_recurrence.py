@@ -340,8 +340,10 @@ def test_failing_equation_reports_first_mismatch():
 
 
 def _unstopped(monkeypatch):
-    """Make check_equation run every k up to kmax."""
-    monkeypatch.setattr(recurrence, "_settled_k", lambda spec, state: None)
+    """Make check_equation run every k from kmin up to kmax: neither the
+    stop above nor the one below is found."""
+    monkeypatch.setattr(recurrence, "_settled_k",
+                        lambda spec, state, start, sign: None)
 
 
 def test_stop_past_settled_terms_keeps_every_report(monkeypatch):
@@ -367,12 +369,48 @@ def test_stop_past_settled_terms_keeps_every_report(monkeypatch):
                               state=state).to_json() == report, name
 
 
+def test_stop_below_settled_terms_keeps_every_report(monkeypatch):
+    # below the k under which no term changes, every k repeats kmin's
+    # verdict: a holding one is not checked again, and the report (or the
+    # error raised at kmin) is the one every k from kmin gives
+    lowered = [dataclasses.replace(eq, kmin=-40) for eq in builtin_equations()]
+    states = {eq.system: RecurrenceState(build_preset(eq.system), 12)
+              for eq in lowered}
+    failures_at, checked = recurrence._failures, {}
+
+    def counted(spec, state, k):
+        checked.setdefault(spec.name, []).append(k)
+        return failures_at(spec, state, k)
+
+    monkeypatch.setattr(recurrence, "_failures", counted)
+
+    def outcomes():
+        out = {}
+        for eq in lowered:
+            state = states[eq.system]
+            try:
+                out[eq.name] = check_equation(eq, state.sys, None, 12,
+                                              state=state).to_json()
+            except EquationRangeError as e:
+                out[eq.name] = str(e)
+        return out
+
+    stopped = outcomes()
+    skipping = {name for name, ks in checked.items()
+                if len(ks) > 1 and ks[1] > ks[0] + 1}
+    # among them equations that hold and ones that fail above the stop
+    assert {stopped[name]["holds"] for name in skipping} == {True, False}
+    assert sum(isinstance(o, str) for o in stopped.values()) == 6
+    _unstopped(monkeypatch)
+    assert outcomes() == stopped
+
+
 def test_failures_end_where_the_terms_settle(monkeypatch):
     # one more 1 on the right-hand side: wrong at every k
     eq = builtin_equation("schur-rec-a")
     broken = dataclasses.replace(eq, rhs=eq.rhs + (recurrence.EqTerm("const"),))
     state = RecurrenceState(build_preset("schur-weighted"), 10)
-    settled = recurrence._settled_k(broken, state)
+    settled = recurrence._settled_k(broken, state, broken.kmin, 1)
     stopped = check_equation(broken, kmax=40, qmax=10, state=state).failures
     assert stopped[-1]["k"] == settled < 40
     _unstopped(monkeypatch)

@@ -159,22 +159,35 @@ def test_substitution_erasure_to_one():
     assert g.coefficient(2) == poly({"a": 1})
 
 
+def test_substitution_maps_each_monomial_once(monkeypatch):
+    # three monomials repeat over six buckets: three images, not eighteen
+    f = series({n: {"a": 1, "b": 2, "a*b": n} for n in range(1, 7)}, 6)
+    sub = SubstitutionMap(1, {"a": (Monomial.var("b"), 1)})
+    mapped = []
+    apply = SubstitutionMap.apply_monomial
+    monkeypatch.setattr(SubstitutionMap, "apply_monomial",
+                        lambda self, mono: mapped.append(mono) or apply(self, mono))
+    g = substitute(f, sub, 6)
+    assert sorted(map(str, mapped)) == ["a", "a*b", "b"]
+    assert g.coefficient(2) == poly({"b": 3, "b^2": 1})
+
+
 def test_substitution_rejects_negative_exponent():
     f = series({0: {"a": 1, "1": 1}}, 4, degmax=4)
     sub = SubstitutionMap(2, {"a": (Monomial.var("a"), -1)})
-    with pytest.raises(SubstitutionError):
+    with pytest.raises(SubstitutionError, match="negative exponent"):
         substitute(f, sub, 4)
 
 
 def test_substitution_window_soundness_checks():
     f = _geom("a", 1, 10)
     # q -> q^2 can only support output windows up to 20
-    with pytest.raises(SubstitutionError):
+    with pytest.raises(SubstitutionError, match="window too small"):
         substitute(f, SubstitutionMap(2, {}), 21)
     # negative shift eats into the window: (2-1)*10 = 10 is the safe limit
     sub = SubstitutionMap(2, {"a": (Monomial.var("a"), -1)})
     assert substitute(f, sub, 10).qmax == 10
-    with pytest.raises(SubstitutionError):
+    with pytest.raises(SubstitutionError, match="window too small"):
         substitute(f, sub, 11)
 
 
@@ -183,7 +196,7 @@ def test_substitution_negative_shift_requires_degree_discipline():
     # even though the offending variable b is not shifted at all
     f = series({0: {"1": 1}, 1: {"b^3": 1}}, 4)
     sub = SubstitutionMap(2, {"a": (Monomial.var("a"), -1)})
-    with pytest.raises(SubstitutionError):
+    with pytest.raises(SubstitutionError, match="degree bound"):
         substitute(f, sub, 4)
     # declaring the cap restores a valid (smaller) window: 2*4 - 1*3 = 5 >= 4
     g = substitute(cap_degree(f, 3), sub, 4)

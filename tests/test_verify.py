@@ -18,6 +18,7 @@ from wwords import (
     TruncatedSeries,
     build_preset,
     count_partitions,
+    dilate_system,
     dp_series,
     enumerate_series,
     list_partitions,
@@ -476,6 +477,19 @@ def test_relations_are_b_side_weights():
             if other is not None:
                 carried = build_preset(other).carried_vars
                 assert not carried & set(case.relation), (name, other)
+
+
+def test_dilations_build_the_b_sides():
+    # a case's dilation is the one its B side was built with: one object,
+    # not a copy; schur-dilated's B side has free colours and a relation
+    dilated = {n: c for n, c in identity_cases().items()
+               if c.dilation_of and n != "schur-dilated"}
+    assert len(dilated) == 5
+    for name, case in dilated.items():
+        b = build_preset(case.side_b)
+        got = dilate_system(build_preset(case.dilation_of), case.dilation)
+        assert dataclasses.replace(got, name=b.name,
+                                   description=b.description) == b, name
 
 
 def test_related_weights_give_the_substituted_series(monkeypatch):

@@ -25,8 +25,9 @@ the first time it is seen.  Every exponent is below ``EXPONENT_BOUND`` =
 2^FIELD_BITS and cannot carry into the next one: the sum is the code of
 the product, and a product is one int addition and one lookup in the
 intern table, with no cache of products beside it.  A code the table does
-not hold goes through the constructor, which refuses an exponent at the
-bound with :class:`AlgebraError`.  With weights of exponent 1, as in every
+not hold goes through :func:`_of_code`, which splits it into its fields
+and hands them to the constructor; the constructor refuses an exponent at
+the bound with :class:`AlgebraError`.  With weights of exponent 1, as in every
 registered system, reaching the bound takes more than 2^31 parts, far past
 any truncation order the engines can run.
 
@@ -130,8 +131,8 @@ class Monomial:
     ``EXPONENT_BOUND``, so each field of the sum of two codes stays below
     ``2**FIELD_BITS`` and no carry reaches the next field: the sum is the
     product's code, and the product of two interned monomials is one int
-    addition and one lookup.  A code that names no interned monomial goes
-    through the constructor, which checks it.
+    addition and one lookup.  A code the table does not hold goes through
+    :func:`_of_code`, which checks it with the constructor.
     """
 
     __slots__ = ("_items", "_code", "_degree")
@@ -162,13 +163,8 @@ class Monomial:
         return mono
 
     def __reduce__(self):
+        # pickle, copy and deepcopy all rebuild through the constructor
         return Monomial, (self._items,)
-
-    def __copy__(self) -> "Monomial":
-        return self
-
-    def __deepcopy__(self, memo) -> "Monomial":
-        return self
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -203,17 +199,14 @@ class Monomial:
         return not self._items
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return (_INTERNED.get(self._code + other._code)
-                or Monomial(self._items + other._items))
+        return _of_code(self._code + other._code)
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
             raise AlgebraError("monomials cannot be raised to negative powers")
         # below the bound in total, each field of code * k is too
         if self._degree * k < EXPONENT_BOUND:
-            mono = _INTERNED.get(self._code * k)
-            if mono is not None:
-                return mono
+            return _of_code(self._code * k)
         return Monomial((n, e * k) for n, e in self._items)
 
     def sort_key(self) -> tuple:
@@ -238,35 +231,26 @@ class Monomial:
 _MONOMIAL_ONE = Monomial()
 
 
-def _decode_buckets(coded: list[dict[int, int]]) -> list[dict[Monomial, int]]:
-    """The buckets keyed by monomials instead of their packed codes.
+def _of_code(code: int) -> Monomial:
+    """The interned monomial of a packed code.
 
-    A code that no monomial holds yet is split into its fields and goes
-    through the constructor, so a field at or above the bound raises.  A
-    field that carried into the next one cannot be seen, so for each code
-    whose summands carried, the buckets must also hold one with an
-    exponent at the bound.
-
-    It keeps its own loop rather than :func:`_map_terms`: distinct codes
-    are distinct monomials, so no two terms meet and no sum cancels, and
-    the kernel's per-term work made decoding more than twice as slow.
+    No field of code may have carried into the next one, as holds for the
+    sum of two codes, for code * k when the degree times k is below the
+    bound, and for the enumeration's walk.  A code that no monomial holds
+    yet is split into its fields, which go through the constructor sorted
+    by name: a field at or above the bound raises, naming the first such.
     """
-    names = list(_FIELDS)  # the field at offset i*FIELD_BITS is names[i]
-    field = (1 << FIELD_BITS) - 1
-    out = []
-    for bucket in coded:
-        decoded = {}
-        for code, count in bucket.items():
-            mono = _INTERNED.get(code)
-            if mono is None:
-                items, rest = [], code
-                for name in names:
-                    items.append((name, rest & field))
-                    rest >>= FIELD_BITS
-                mono = Monomial(items)
-            decoded[mono] = count
-        out.append(decoded)
-    return out
+    mono = _INTERNED.get(code)
+    if mono is not None:
+        return mono
+    field, items = (1 << FIELD_BITS) - 1, []
+    for name in _FIELDS:  # the field at offset i*FIELD_BITS is the i-th name
+        if not code:
+            break
+        if exp := code & field:
+            items.append((name, exp))
+        code >>= FIELD_BITS
+    return Monomial(sorted(items))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +350,7 @@ def _add_bucket(dst: dict, src: dict, mono: Monomial, coeff: int,
     for m, c in src.items():
         if limit is not None and m._degree > limit:
             continue
-        m2 = interned.get(m._code + code) or Monomial(m._items + mono._items)
+        m2 = interned.get(m._code + code) or _of_code(m._code + code)
         v = dst.get(m2, 0) + c * coeff
         if v:
             dst[m2] = v

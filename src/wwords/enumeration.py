@@ -37,7 +37,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import Monomial, TruncatedSeries, _decode_buckets
+from .algebra import Monomial, TruncatedSeries, _of_code
 from .systems import ColouredPart, ColouredSystem
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -201,10 +201,10 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
     """
     # each step adds exponents below the bound, and every prefix of a
     # partition is one too: before a field of a sum could carry into the
-    # next, a prefix holds an exponent at the bound, and decoding raises
-    buckets = _decode_buckets(
-        _walk(sys, qmax, degmax, lambda p, w: w._code, 0))
-    return TruncatedSeries(buckets, degmax)
+    # next, a prefix holds an exponent at the bound, and _of_code raises
+    coded = _walk(sys, qmax, degmax, lambda p, w: w._code, 0)
+    return TruncatedSeries([{_of_code(c): n for c, n in bucket.items()}
+                            for bucket in coded], degmax)
 
 
 def list_partitions(sys: ColouredSystem, n: int,

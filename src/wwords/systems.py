@@ -78,13 +78,10 @@ class SizeDomain:
         return [s for s in range(self.min_size, bound + 1) if self.contains(s)]
 
     def dilate(self, m: int, offset: int) -> "SizeDomain":
-        if self.modulus is None:
-            return SizeDomain(min_size=m * self.min_size + offset, modulus=m,
-                              residues=frozenset({offset % m}))
-        new_mod = m * self.modulus
-        new_res = frozenset((m * r + offset) % new_mod for r in self.residues)
-        return SizeDomain(min_size=m * self.min_size + offset, modulus=new_mod,
-                          residues=new_res)
+        # a domain without a modulus is modulus 1 with residue 0
+        mod, residues = (self.modulus, self.residues) if self.modulus else (1, {0})
+        return SizeDomain(min_size=m * self.min_size + offset, modulus=m * mod,
+                          residues=frozenset(m * r + offset for r in residues))
 
     def to_json(self) -> dict:
         out: dict = {"min": self.min_size}

@@ -37,18 +37,29 @@ byte-identical JSON and the same exit codes on every run:
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
 of the tree to run (default: the tree holding this script).  Set
 ``PYTHONHASHSEED`` to fix the interpreter's hash seed for every run.
-Standard library only.
+
+``python3 tools/registry_digest.py --check`` runs the same commands in one
+process through ``wwords.cli.main`` on the tree holding this script,
+prints each line that differs from ``registry_digest.expected`` beside it,
+and exits 1 if any does.  No JSON output depends on the hash seed, so the
+check needs none.  Standard library only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
+
+EXPECTED = Path(__file__).with_suffix(".expected")
 
 # the registry, read from the tree under test
 _LIST = """\
@@ -129,17 +140,65 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 
+def in_subprocess(src: Path) -> Callable[[list[str]], tuple[bytes, int]]:
+    """Runs one command as ``python3 -m wwords.cli`` on the tree at src."""
+    def run(cmd: list[str]) -> tuple[bytes, int]:
+        done = _run(src, ["-m", "wwords.cli", "--format", "json", *cmd])
+        return done.stdout, done.returncode
+    return run
+
+
+def in_process(cmd: list[str]) -> tuple[bytes, int]:
+    """Runs one command through ``wwords.cli.main`` in this interpreter,
+    discarding its standard error; an uncaught exception exits 1, as it
+    would from the interpreter."""
+    from wwords.cli import main
+
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["--format", "json", *cmd])
+        except Exception:
+            code = 1
+    out.flush()
+    return out.buffer.getvalue(), code
+
+
+def digest(commands: list[tuple[list[str], Path | None]],
+           run: Callable[[list[str]], tuple[bytes, int]], scratch: Path):
+    """One line per command: the sha256 of its output, its exit code and its
+    arguments, with the scratch directory shown as $TMP."""
+    for cmd, save_to in commands:
+        stdout, code = run(cmd)
+        if save_to is not None:
+            save_to.write_bytes(stdout)
+        shown = [a.replace(str(scratch), "$TMP") for a in cmd]
+        yield f"{hashlib.sha256(stdout).hexdigest()} {code} {' '.join(shown)}"
+
+
+def differences(lines) -> list[str]:
+    """Each line that differs from the expected file, beside the line there."""
+    return [f"expected {want}\n     got {got}"
+            for want, got in zip_longest(EXPECTED.read_text().splitlines(), lines)
+            if want != got]
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    src = (root / "src").resolve()
+    check = argv == ["--check"]
+    here = Path(__file__).resolve().parent.parent
+    src = ((Path(argv[0]) if argv and not check else here) / "src").resolve()
+    if check:
+        sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as tmp:
-        for cmd, save_to in _commands(src, Path(tmp)):
-            done = _run(src, ["-m", "wwords.cli", "--format", "json", *cmd])
-            if save_to is not None:
-                save_to.write_bytes(done.stdout)
-            shown = [a.replace(tmp, "$TMP") for a in cmd]
-            digest = hashlib.sha256(done.stdout).hexdigest()
-            print(f"{digest} {done.returncode} {' '.join(shown)}", flush=True)
+        lines = digest(_commands(src, Path(tmp)),
+                       in_process if check else in_subprocess(src), Path(tmp))
+        if check:
+            diffs = differences(lines)
+            for diff in diffs:
+                print(diff)
+            return 1 if diffs else 0
+        for line in lines:
+            print(line, flush=True)
     return 0
 
 

@@ -58,6 +58,8 @@ class SizeDomain:
     residues: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        if self.modulus is None and self.residues:
+            raise SystemSpecError("domain residues need a modulus")
         if self.modulus is not None:
             if self.modulus < 1:
                 raise SystemSpecError("domain modulus must be positive")
@@ -147,6 +149,8 @@ class MatrixGap:
     class_modulus: int | None = None
 
     def __post_init__(self):
+        if self.class_modulus is not None and self.class_modulus < 1:
+            raise SystemSpecError("gap class modulus must be positive")
         frozen = {rk: dict(cols) for rk, cols in self.rows.items()}
         object.__setattr__(self, "rows", frozen)
 

@@ -387,7 +387,7 @@ def _mod6_counts(parts: tuple[ColouredPart, ...]) -> tuple[int, int]:
     return u, v
 
 
-#: rule name -> (u variable, v variable, counting function, default pool cap)
+#: rule name -> (u variable, v variable, counting function, pool cap)
 _STATISTIC_RULES = {
     "siladic-mod4": ("a", "b", _mod4_counts, 36),
     "companion-mod6": ("a", "b", _mod6_counts, 28),
@@ -395,21 +395,20 @@ _STATISTIC_RULES = {
 
 
 def check_statistics(case: IdentityCase | str, samples: int = 200,
-                     seed: int = 2026, max_n: int | None = None) -> dict:
+                     seed: int = 2026) -> dict:
     """Sample valid partitions of the case's system and check that the
     textual part-counting rule reproduces the colour-weight exponents.
 
-    The pool is every valid partition of 0..max_n; ``samples`` of them are
-    drawn with the seeded generator (all of them when the pool is smaller).
+    The pool is every valid partition of 0 up to the rule's pool cap;
+    ``samples`` of them are drawn with the seeded generator (all of them
+    when the pool is smaller).
     """
     if isinstance(case, str):
         case = identity_case(case)
     if case.statistic is None:
         raise VerificationError(
             f"{case.name} has no sampled-statistic rule")
-    u_var, v_var, counter, default_cap = _STATISTIC_RULES[case.statistic]
-    if max_n is None:
-        max_n = default_cap
+    u_var, v_var, counter, max_n = _STATISTIC_RULES[case.statistic]
     sys_b = build_preset(case.side_b)
     pool = [chain for chains in _walk(sys_b, max_n, None, lambda p, w: (p,), ())
             for chain in chains]

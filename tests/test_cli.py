@@ -653,6 +653,11 @@ def _good_input(kind):
                  id="system-number-label"),
     pytest.param("system", lambda d: d.update(forbidden=[[1, 7]]),
                  id="system-number-forbidden-colour"),
+    pytest.param("system", lambda d: d["gap"].update(class_modulus=0),
+                 id="system-zero-class-modulus"),
+    pytest.param("system",
+                 lambda d: d["colours"][0]["domain"].pop("modulus"),
+                 id="system-residues-without-modulus"),
     pytest.param("product", lambda d: d[0].pop("start"),
                  id="product-no-start"),
     pytest.param("product", lambda d: d[1].update(power="x"),

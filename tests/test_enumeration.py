@@ -304,7 +304,7 @@ def _nonempty_partitions(preset, qmax, degmax):
      "andrews-overpartitions(2)", 5, 4),
     (lambda: list_partitions(build_preset("siladic-weighted"), 8),
      "siladic-weighted", 8, None),
-    (lambda: check_statistics("theorem-4", max_n=36),
+    (lambda: check_statistics("theorem-4"),
      identity_case("theorem-4").side_b, 36, None),
 ], ids=["enumerate", "count", "list", "statistics"])
 def test_node_budget_is_exact(monkeypatch, walk, preset, qmax, degmax):

@@ -67,6 +67,12 @@ def _documents():
                              ColouredSystem,
                              lambda p: ["enumerate", p, "--qmax", "3",
                                         "--degmax", "3"]),
+        # a gap class modulus, forbidden parts and residue domains with
+        # parity rows
+        "system-parity-rows": (build_preset("siladic-weighted").to_json(),
+                               ColouredSystem,
+                               lambda p: ["enumerate", p, "--qmax", "3",
+                                          "--degmax", "3"]),
         "equation": (builtin_equation("schur-rec-a").to_json(), EquationSpec,
                      lambda p: ["check-eq", p, "--qmax", "4", "--kmax", "3"]),
         "equation-uncapped": (builtin_equation("schur-rec-a").to_json(),

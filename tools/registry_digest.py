@@ -1,9 +1,9 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 95 commands as ``python3 -m wwords.cli --format json ...`` against a
-source tree and prints, for each, the sha256 of its standard output, its
-exit code and its arguments.  Two trees whose lines are identical gave
-byte-identical JSON and the same exit codes on every run:
+Runs 95 commands as ``wwords --format json ...`` against a source tree and
+prints, for each, the sha256 of its standard output, its exit code and its
+arguments.  Two trees whose lines are identical gave byte-identical JSON
+and the same exit codes on every run:
 
 * ``verify`` on every identity at its own order;
 * ``verify`` with the dilation engine and one other engine past the
@@ -35,14 +35,17 @@ byte-identical JSON and the same exit codes on every run:
   apart (exit 2).
 
 Usage: ``python3 tools/registry_digest.py [REPO]``, where REPO is the root
-of the tree to run (default: the tree holding this script).  Set
-``PYTHONHASHSEED`` to fix the interpreter's hash seed for every run.
+of the tree to run (default: the tree holding this script).  The tool puts
+``REPO/src`` first on the import path and runs every command in this one
+interpreter through ``wwords.cli.main``, with standard output captured as
+bytes and standard error dropped.  Each invocation is a fresh interpreter,
+so two trees are compared by running the tool once on each and diffing
+the output.  No JSON output depends on the hash seed.
 
-``python3 tools/registry_digest.py --check`` runs the same commands in one
-process through ``wwords.cli.main`` on the tree holding this script,
-prints each line that differs from ``registry_digest.expected`` beside it,
-and exits 1 if any does.  No JSON output depends on the hash seed, so the
-check needs none.  Standard library only.
+``python3 tools/registry_digest.py --check`` runs the commands on the tree
+holding this script, prints each line that differs from
+``registry_digest.expected`` beside it, and exits 1 if any does.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -60,21 +61,6 @@ from pathlib import Path
 from typing import Callable
 
 EXPECTED = Path(__file__).with_suffix(".expected")
-
-# the registry, read from the tree under test
-_LIST = """\
-import json, wwords
-print(json.dumps({
-    "presets": wwords.preset_names(),
-    "identities": [[n, c.product is not None]
-                   for n, c in wwords.identity_cases().items()],
-    "equations": [e.name for e in wwords.builtin_equations()],
-    "dilations": sorted({
-        (c.dilation_of, c.dilation.modulus,
-         json.dumps(dict(c.dilation.var_shifts), sort_keys=True))
-        for c in wwords.identity_cases().values() if c.dilation_of}),
-}))
-"""
 
 HIGH_ORDER = (("theorem-1", "recurrence", "120"), ("theorem-4", "product", "120"),
               ("theorem-5", "product", "120"), ("theorem-7", "product", "80"),
@@ -103,26 +89,18 @@ RELATED_AND_CONVENTIONS = (
     ("verify", "theorem-3", "--qmax", "0"))
 
 
-def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, check=False)
-
-
-def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
+def _commands(scratch: Path) -> list[tuple[list[str], Path | None]]:
     """(arguments, file to save stdout to or None) for every run, in order."""
-    listing = _run(src, ["-c", _LIST])
-    if listing.returncode != 0:
-        sys.exit(f"cannot read the registry under {src}:\n"
-                 f"{listing.stderr.decode()}")
-    reg = json.loads(listing.stdout)
-    presets = [p.replace("(r)", "(2)") for p in reg["presets"]]
-    cmds = [["verify", name] for name, _ in reg["identities"]]
+    import wwords
+
+    cases = wwords.identity_cases()
+    presets = [p.replace("(r)", "(2)") for p in wwords.preset_names()]
+    cmds = [["verify", name] for name in cases]
     cmds += [["verify", name, "--engines", f"dilation,{other}", "--qmax", q]
              for name, other, q in HIGH_ORDER]
     saved = {}
-    for name, has_product in reg["identities"]:
-        if has_product:
+    for name, case in cases.items():
+        if case.product is not None:
             doc = scratch / f"{name}.json"
             expand = ["expand", "--product", name, "--qmax", "20"]
             saved[len(cmds)] = doc
@@ -130,22 +108,19 @@ def _commands(src: Path, scratch: Path) -> list[tuple[list[str], Path | None]]:
     for p in presets:
         cmds.append(["enumerate", p, "--qmax", "14", "--degmax", "14"])
         cmds.append(["enumerate", p, "--list", "8", "--degmax", "8"])
-    cmds += [["check-eq", name, "--qmax", "24"] for name in reg["equations"]]
+    cmds += [["check-eq", e.name, "--qmax", "24"]
+             for e in wwords.builtin_equations()]
     cmds += [["discover", system, "--primaries", "a,b", "--qmax", q, *more]
              for system, q, *more in DISCOVER]
+    dilations = sorted({
+        (c.dilation_of, c.dilation.modulus,
+         json.dumps(dict(c.dilation.var_shifts), sort_keys=True))
+        for c in cases.values() if c.dilation_of})
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
-             for system, m, shifts in reg["dilations"]]
+             for system, m, shifts in dilations]
     cmds += [list(cmd)
              for cmd in ERASED_CAPPED + REFUSED + RELATED_AND_CONVENTIONS]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
-
-
-def in_subprocess(src: Path) -> Callable[[list[str]], tuple[bytes, int]]:
-    """Runs one command as ``python3 -m wwords.cli`` on the tree at src."""
-    def run(cmd: list[str]) -> tuple[bytes, int]:
-        done = _run(src, ["-m", "wwords.cli", "--format", "json", *cmd])
-        return done.stdout, done.returncode
-    return run
 
 
 def in_process(cmd: list[str]) -> tuple[bytes, int]:
@@ -187,11 +162,11 @@ def main(argv: list[str]) -> int:
     check = argv == ["--check"]
     here = Path(__file__).resolve().parent.parent
     src = ((Path(argv[0]) if argv and not check else here) / "src").resolve()
-    if check:
-        sys.path.insert(0, str(src))
+    if not (src / "wwords").is_dir():
+        sys.exit(f"no wwords package under {src}")
+    sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as tmp:
-        lines = digest(_commands(src, Path(tmp)),
-                       in_process if check else in_subprocess(src), Path(tmp))
+        lines = digest(_commands(Path(tmp)), in_process, Path(tmp))
         if check:
             diffs = differences(lines)
             for diff in diffs:

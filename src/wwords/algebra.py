@@ -148,8 +148,10 @@ class Monomial:
         code = 0
         for name, exp in merged.items():
             if exp >= EXPONENT_BOUND:
+                # the refusal names the alphabetically first variable over the bound
+                name = min(n for n, e in merged.items() if e >= EXPONENT_BOUND)
                 raise AlgebraError(
-                    f"exponent {exp} of variable {name!r} is not below 2^{FIELD_BITS - 1}")
+                    f"exponent {merged[name]} of variable {name!r} is not below 2^{FIELD_BITS - 1}")
             offset = _FIELDS.get(name)
             if offset is None:
                 offset = _FIELDS[name] = len(_FIELDS) * FIELD_BITS
@@ -237,8 +239,8 @@ def _of_code(code: int) -> Monomial:
     No field of code may have carried into the next one, as holds for the
     sum of two codes, for code * k when the degree times k is below the
     bound, and for the enumeration's walk.  A code that no monomial holds
-    yet is split into its fields, which go through the constructor sorted
-    by name: a field at or above the bound raises, naming the first such.
+    yet is split into its fields, which go through the constructor: a
+    field at or above the bound raises there.
     """
     mono = _INTERNED.get(code)
     if mono is not None:
@@ -250,7 +252,7 @@ def _of_code(code: int) -> Monomial:
         if exp := code & field:
             items.append((name, exp))
         code >>= FIELD_BITS
-    return Monomial(sorted(items))
+    return Monomial(items)
 
 
 # ---------------------------------------------------------------------------

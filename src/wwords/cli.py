@@ -192,14 +192,9 @@ def _cmd_list_presets(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    kwargs: dict = {}
-    if args.qmax is not None:
-        kwargs["qmax"] = args.qmax
-    if args.degmax is not None:
-        kwargs["degmax"] = args.degmax
-    if args.engines is not None:
-        kwargs["engines"] = _split_csv(args.engines, "--engines")
-    report = verify_identity(args.identity, **kwargs)
+    engines = (None if args.engines is None
+               else _split_csv(args.engines, "--engines"))
+    report = verify_identity(args.identity, args.qmax, args.degmax, engines)
 
     doc = report.to_json()
     elapsed = doc.pop("ms")  # timing varies run to run; JSON stays reproducible

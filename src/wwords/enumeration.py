@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
+from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -207,13 +208,21 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
                             for bucket in coded], degmax)
 
 
+def partitions_by_size(sys: ColouredSystem, n: int,
+                       degmax: int | None = None) -> list[list[tuple[ColouredPart, ...]]]:
+    """The valid partitions of each size 0..n from one walk, each listed
+    largest part first; the partitions of one size are ordered
+    lexicographically by their rank sequences."""
+    key = cache(sys.part_key)  # every part recurs in many partitions
+    return [sorted(chains, key=lambda ch: list(map(key, ch)))
+            for chains in _walk(sys, n, degmax, lambda p, w: (p,), ())]
+
+
 def list_partitions(sys: ColouredSystem, n: int,
                     degmax: int | None = None) -> list[tuple[ColouredPart, ...]]:
-    """All valid partitions of total size exactly n, each listed largest part
-    first, ordered lexicographically by their rank sequences."""
-    found = list(_walk(sys, n, degmax, lambda p, w: (p,), ())[n])
-    found.sort(key=lambda ch: [sys.part_key(p) for p in ch])
-    return found
+    """All valid partitions of total size exactly n, in the order of
+    :func:`partitions_by_size`."""
+    return partitions_by_size(sys, n, degmax)[n]
 
 
 def count_partitions(sys: ColouredSystem, qmax: int,

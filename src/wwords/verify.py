@@ -41,7 +41,8 @@ from math import prod
 
 from .algebra import (Monomial, ProductFactor, ProductSpec, TruncatedSeries,
                       product_expand)
-from .enumeration import _walk, enumerate_series, partition_weight
+from .enumeration import (enumerate_series, partition_weight,
+                          partitions_by_size)
 from .recurrence import dp_series
 from .systems import (_COMPANION_DILATION, ColouredPart, ColouredSystem,
                       DilationSpec, build_preset, preset_dilation)
@@ -67,8 +68,6 @@ class VerificationError(ValueError):
 
 #: canonical engine order; reports list engines in request order
 ENGINES = ("enum", "recurrence", "product", "dilation")
-
-_UNSET = object()
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +237,12 @@ def _compare_all(series: list[TruncatedSeries]) -> tuple[bool, dict | None]:
 
 
 def verify_identity(case: IdentityCase | str, qmax: int | None = None,
-                    degmax=_UNSET,
+                    degmax: int | None = None,
                     engines: Iterable[str] | None = None) -> Report:
     """Compute every requested engine and compare each result with the first.
 
-    ``qmax``/``degmax`` default to the case's documented order.  ``engines``
+    ``qmax`` and ``degmax`` left at ``None`` take the case's own values,
+    so a case's degree cap cannot be lifted, only lowered.  ``engines``
     defaults to every engine applicable to the case; requesting an
     inapplicable one raises :class:`VerificationError` listing the
     applicable set.  A case's erased variables leave the part weights of
@@ -254,7 +254,7 @@ def verify_identity(case: IdentityCase | str, qmax: int | None = None,
     started = time.monotonic()
     if qmax is None:
         qmax = case.qmax
-    if degmax is _UNSET:
+    if degmax is None:
         degmax = case.degmax
     applicable = case.applicable_engines()
     if engines is None:
@@ -347,51 +347,35 @@ def format_coefficient_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mod4_counts(parts: tuple[ColouredPart, ...]) -> tuple[int, int]:
-    """Counts for the mod-4 refinement: u = #parts = 0,1 (mod 4) plus twice
-    #parts = 6 (mod 8); v = #parts = 0,3 (mod 4) plus twice #parts = 2
-    (mod 8)."""
-    u = v = 0
-    for p in parts:
-        r4, r8 = p.size % 4, p.size % 8
-        if r4 in (0, 1):
-            u += 1
-        if r8 == 6:
-            u += 2
-        if r4 in (0, 3):
-            v += 1
-        if r8 == 2:
-            v += 2
-    return u, v
-
-
-_PRIMED_COLOURS = ("a2", "b2")
-
-
-def _mod6_counts(parts: tuple[ColouredPart, ...]) -> tuple[int, int]:
-    """Counts for the mod-3 companion with primed parts: u = #ordinary
-    parts = 0,1 (mod 3) plus twice #primed parts = 5 (mod 6); v = #ordinary
-    parts = 0,2 (mod 3) plus twice #primed parts = 1 (mod 6)."""
-    u = v = 0
-    for p in parts:
-        if p.colour in _PRIMED_COLOURS:
-            if p.size % 6 == 5:
-                u += 2
-            if p.size % 6 == 1:
-                v += 2
-        else:
-            if p.size % 3 in (0, 1):
-                u += 1
-            if p.size % 3 in (0, 2):
-                v += 1
-    return u, v
-
-
-#: rule name -> (u variable, v variable, counting function, pool cap)
+#: rule name -> ((u variable, v variable), pool cap, terms).  A term
+#: (i, n, colours, m, residues) reads: each part whose colour is in colours
+#: (any colour when None) and whose size mod m is in residues adds n to
+#: count i, u for 0 and v for 1
 _STATISTIC_RULES = {
-    "siladic-mod4": ("a", "b", _mod4_counts, 36),
-    "companion-mod6": ("a", "b", _mod6_counts, 28),
+    "siladic-mod4": (("a", "b"), 36, (
+        (0, 1, None, 4, {0, 1}),
+        (0, 2, None, 8, {6}),
+        (1, 1, None, 4, {0, 3}),
+        (1, 2, None, 8, {2}),
+    )),
+    # the mod-3 companion: a2, b2 are its primed colours, the rest ordinary
+    "companion-mod6": (("a", "b"), 28, (
+        (0, 1, {"a", "b", "ab"}, 3, {0, 1}),
+        (0, 2, {"a2", "b2"}, 6, {5}),
+        (1, 1, {"a", "b", "ab"}, 3, {0, 2}),
+        (1, 2, {"a2", "b2"}, 6, {1}),
+    )),
 }
+
+
+def _textual_counts(terms, parts: tuple[ColouredPart, ...]) -> list[int]:
+    """[u, v] of a partition under one rule's terms."""
+    counts = [0, 0]
+    for p in parts:
+        for i, n, colours, m, residues in terms:
+            if (colours is None or p.colour in colours) and p.size % m in residues:
+                counts[i] += n
+    return counts
 
 
 def check_statistics(case: IdentityCase | str, samples: int = 200,
@@ -408,25 +392,22 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
     if case.statistic is None:
         raise VerificationError(
             f"{case.name} has no sampled-statistic rule")
-    u_var, v_var, counter, max_n = _STATISTIC_RULES[case.statistic]
+    variables, max_n, terms = _STATISTIC_RULES[case.statistic]
     sys_b = build_preset(case.side_b)
-    pool = [chain for chains in _walk(sys_b, max_n, None, lambda p, w: (p,), ())
+    pool = [chain for chains in partitions_by_size(sys_b, max_n)
             for chain in chains]
-    # by size, then as list_partitions orders the partitions of one size
-    pool.sort(key=lambda chain: (sum(p.size for p in chain),
-                                 [sys_b.part_key(p) for p in chain]))
     rng = random.Random(seed)
-    chosen = list(pool) if len(pool) <= samples else rng.sample(pool, samples)
+    chosen = pool if len(pool) <= samples else rng.sample(pool, samples)
     mismatches = []
     for partition in chosen:
         weight, _total = partition_weight(sys_b, partition)
-        expected = (weight.exponent(u_var), weight.exponent(v_var))
-        got = counter(partition)
+        expected = [weight.exponent(v) for v in variables]
+        got = _textual_counts(terms, partition)
         if got != expected:
             mismatches.append({
                 "partition": [str(p) for p in partition],
-                "textual": list(got),
-                "weights": list(expected),
+                "textual": got,
+                "weights": expected,
             })
     return {
         "identity": case.name,

@@ -30,6 +30,7 @@ from wwords.enumeration import (
     is_valid_partition,
     list_partitions,
     partition_weight,
+    partitions_by_size,
 )
 from wwords.systems import preset_dilation
 
@@ -228,9 +229,14 @@ def test_list_partitions_of_zero():
     ("primc-weighted", None, 6, None),
     ("andrews-overpartitions", 2, 3, 6),
     ("primary-overpartitions", 2, 3, 6),
+    ("schur-weighted", None, 8, None),
+    ("andrews-overpartitions", 2, 6, 4),
 ])
 def test_listed_partitions_are_valid(preset, r, n, degmax):
     sys = build_preset(f"{preset}({r})" if r else preset)
+    # each size's listing is partitions_by_size's entry at that size
+    by_size = partitions_by_size(sys, n, degmax)
+    assert [list_partitions(sys, k, degmax) for k in range(n + 1)] == by_size
     listed = list_partitions(sys, n, degmax=degmax)
     assert listed, "expected at least one partition"
     for ch in listed:

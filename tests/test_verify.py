@@ -362,6 +362,26 @@ def test_statistics_deterministic_and_seedable():
     assert other["ok"] is True and other["samples"] == 50
 
 
+def test_misstated_rule_is_reported(monkeypatch):
+    # siladic-mod4 with u's mod-8 residue 6 read as 2
+    variables, cap, terms = verify._STATISTIC_RULES["siladic-mod4"]
+    terms = tuple((0, 2, None, 8, {2}) if t == (0, 2, None, 8, {6}) else t
+                  for t in terms)
+    monkeypatch.setitem(verify._STATISTIC_RULES, "siladic-mod4",
+                        (variables, cap, terms))
+    result = check_statistics("theorem-4")
+    assert result["ok"] is False
+    assert 0 < len(result["mismatches"]) <= 5
+    for entry in result["mismatches"]:
+        assert set(entry) == {"partition", "textual", "weights"}
+    # the first mismatch at seed 2026 pins the pool's order and the sample
+    assert result["mismatches"][0] == {
+        "partition": ["22_a2", "9_a", "3_b"],
+        "textual": [1, 1],
+        "weights": [3, 1],
+    }
+
+
 def test_statistics_unavailable_for_plain_cases():
     with pytest.raises(VerificationError, match="statistic"):
         check_statistics("theorem-2")

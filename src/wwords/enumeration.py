@@ -208,21 +208,28 @@ def enumerate_series(sys: ColouredSystem, qmax: int,
                             for bucket in coded], degmax)
 
 
+def _rank_order(sys: ColouredSystem) -> Callable[[tuple[ColouredPart, ...]], list]:
+    """The sort key ordering chains by their rank sequences."""
+    key = cache(sys.part_key)  # every part recurs in many partitions
+    return lambda chain: list(map(key, chain))
+
+
 def partitions_by_size(sys: ColouredSystem, n: int,
                        degmax: int | None = None) -> list[list[tuple[ColouredPart, ...]]]:
     """The valid partitions of each size 0..n from one walk, each listed
     largest part first; the partitions of one size are ordered
     lexicographically by their rank sequences."""
-    key = cache(sys.part_key)  # every part recurs in many partitions
-    return [sorted(chains, key=lambda ch: list(map(key, ch)))
+    order = _rank_order(sys)
+    return [sorted(chains, key=order)
             for chains in _walk(sys, n, degmax, lambda p, w: (p,), ())]
 
 
 def list_partitions(sys: ColouredSystem, n: int,
                     degmax: int | None = None) -> list[tuple[ColouredPart, ...]]:
     """All valid partitions of total size exactly n, in the order of
-    :func:`partitions_by_size`."""
-    return partitions_by_size(sys, n, degmax)[n]
+    :func:`partitions_by_size`; only size n is sorted."""
+    return sorted(_walk(sys, n, degmax, lambda p, w: (p,), ())[n],
+                  key=_rank_order(sys))
 
 
 def count_partitions(sys: ColouredSystem, qmax: int,

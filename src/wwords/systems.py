@@ -684,11 +684,8 @@ def _schur_weighted() -> ColouredSystem:
     )
 
 
-_SCHUR_DILATION = DilationSpec(3, var_shifts={"a": -2, "b": -1})
-
-
 def _schur_dilated_mod3() -> ColouredSystem:
-    # one free colour per residue class mod 3, before any colour relation
+    # schur-dilated with a free colour c for its ab, one per residue mod 3
     colours = (
         ColourDef("a", _mono({"a": 1}), SizeDomain(1, 3, frozenset({1}))),
         ColourDef("b", _mono({"b": 1}), SizeDomain(1, 3, frozenset({2}))),
@@ -739,10 +736,6 @@ def _siladic_weighted(convention: str = "A") -> ColouredSystem:
     )
 
 
-_SILADIC_DILATION = DilationSpec(4, var_shifts={"a": -3, "b": -1})
-_COMPANION_DILATION = DilationSpec(3, var_shifts={"a": -2, "b": -1})
-
-
 def _primc_weighted() -> ColouredSystem:
     colours = (
         ColourDef("a", _mono({"a": 1}), SizeDomain(min_size=1)),
@@ -763,9 +756,6 @@ def _primc_weighted() -> ColouredSystem:
         description="four-colour crystal-base system; b tracked internally "
                     "and erased on output",
     )
-
-
-_PRIMC_DILATION = DilationSpec(2, var_shifts={"a": -1, "b": 0, "c": 0, "d": 1})
 
 
 def _overpartitions(name: str, weights: Mapping[str, Monomial],
@@ -834,23 +824,31 @@ def _siladic_dilated_free() -> ColouredSystem:
 
 
 _PRESET_BUILDERS = {
-    "schur-weighted": lambda: _schur_weighted(),
-    "schur-dilated-mod3": lambda: _schur_dilated_mod3(),
+    "schur-weighted": _schur_weighted,
+    "schur-dilated-mod3": _schur_dilated_mod3,
     "siladic-weighted": lambda: _siladic_weighted("A"),
     "siladic-weighted-convB": lambda: _siladic_weighted("B"),
-    "siladic-dilated": lambda: dilate_system(
-        build_preset("siladic-weighted"), _SILADIC_DILATION, "siladic-dilated"),
-    "siladic-dilated-free": lambda: _siladic_dilated_free(),
-    "schur-companion": lambda: dilate_system(
-        build_preset("siladic-weighted"), _COMPANION_DILATION, "schur-companion"),
-    "primc-weighted": lambda: _primc_weighted(),
-    "primc-dilated": lambda: dilate_system(
-        build_preset("primc-weighted"), _PRIMC_DILATION, "primc-dilated"),
-    "distinct-odd": lambda: _distinct_odd(),
+    "siladic-dilated-free": _siladic_dilated_free,
+    "primc-weighted": _primc_weighted,
+    "distinct-odd": _distinct_odd,
     "distinct-mod3": lambda: _distinct_residues(
         "distinct-mod3", 3, (1, 2), ("a", "b")),
     "distinct-mod4": lambda: _distinct_residues(
         "distinct-mod4", 4, (1, 3), ("a", "b")),
+}
+
+#: dilated preset -> (weighted source, dilation): each is built as
+#: dilate_system(build_preset(source), dilation), and the verifier's
+#: dilation engine runs the source graded by the same dilation
+DILATED_PRESETS = {
+    "siladic-dilated": ("siladic-weighted",
+                        DilationSpec(4, var_shifts={"a": -3, "b": -1})),
+    "schur-companion": ("siladic-weighted",
+                        DilationSpec(3, var_shifts={"a": -2, "b": -1})),
+    "primc-dilated": ("primc-weighted",
+                      DilationSpec(2, var_shifts={"a": -1, "b": 0, "c": 0, "d": 1})),
+    "schur-dilated": ("schur-weighted",
+                      DilationSpec(3, var_shifts={"a": -2, "b": -1})),
 }
 
 _PARAMETRIC_PRESETS = {
@@ -861,19 +859,8 @@ _PARAMETRIC_PRESETS = {
 
 def preset_names() -> list[str]:
     """Registry listing; parametric families are listed with an (r) suffix."""
-    return sorted(_PRESET_BUILDERS) + [f"{p}(r)" for p in _PARAMETRIC_PRESETS]
-
-
-def preset_dilation(name: str) -> DilationSpec:
-    """The documented dilation attached to a weighted preset."""
-    table = {
-        "schur-weighted": _SCHUR_DILATION,
-        "siladic-weighted": _SILADIC_DILATION,
-        "primc-weighted": _PRIMC_DILATION,
-    }
-    if name not in table:
-        raise SystemSpecError(f"no documented dilation for preset {name!r}")
-    return table[name]
+    return (sorted([*_PRESET_BUILDERS, *DILATED_PRESETS])
+            + [f"{p}(r)" for p in _PARAMETRIC_PRESETS])
 
 
 @cache
@@ -894,6 +881,9 @@ def build_preset(name: str) -> ColouredSystem:
         return _PARAMETRIC_PRESETS[base](r)
     if r is not None:
         raise SystemSpecError(f"preset {base!r} takes no parameter")
+    if base in DILATED_PRESETS:
+        source, d = DILATED_PRESETS[base]
+        return dilate_system(build_preset(source), d, base)
     try:
         builder = _PRESET_BUILDERS[base]
     except KeyError:

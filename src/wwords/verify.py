@@ -5,10 +5,10 @@ coloured system with difference conditions (the B side) whose generating
 function is claimed to equal an independently computed A side — an infinite
 product, a plainly countable second system, or both.  ``verify_identity``
 computes every requested engine to the same truncation order and compares
-the series they return pairwise, exactly.  A case's colour relation (such
-as c = ab) and its erased variables (set to 1) are statements about part
-weights: they live in the part weights of the systems the case runs, so no
-step follows an engine.
+the series they return pairwise, exactly.  A B side dilated by q -> q^m,
+v -> v*q^shift(v) is a row of ``systems.DILATED_PRESETS``, which states
+its weighted source and dilation once.  A case's erased variables (set to
+1) leave the part weights of every system it runs.
 
 Engines:
 
@@ -21,10 +21,9 @@ Engines:
 ``product``
     expansion of the stated infinite product;
 ``dilation``
-    for a case whose system is the dilation of a weighted one: run the
-    recurrence on the weighted system with its tables graded by dilated
-    size, which gives the dilated series without building the dilated
-    system.
+    for a case whose B side is a dilated preset: run the recurrence on its
+    weighted source with the tables graded by dilated size, which gives
+    the dilated series without building the dilated system.
 
 A report never claims more than coefficient-level equality to the verified
 order; it is evidence, not a proof.
@@ -37,15 +36,14 @@ import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cache
-from math import prod
 
 from .algebra import (Monomial, ProductFactor, ProductSpec, TruncatedSeries,
                       product_expand)
 from .enumeration import (enumerate_series, partition_weight,
                           partitions_by_size)
 from .recurrence import dp_series
-from .systems import (_COMPANION_DILATION, ColouredPart, ColouredSystem,
-                      DilationSpec, build_preset, preset_dilation)
+from .systems import (DILATED_PRESETS, ColouredPart, ColouredSystem,
+                      build_preset)
 
 __all__ = [
     "ENGINES",
@@ -81,15 +79,13 @@ class IdentityCase:
 
     ``side_b`` names the preset system carrying the difference conditions.
     The A side is ``product`` (an infinite product), ``side_a`` (a second
-    system counting the same objects), or both.  ``relation`` maps colour
-    variables to monomials (e.g. ``c -> ab``): every system the case runs
-    weighs its parts with the images.  ``erased`` names the variables the
-    identity sets to 1: every system the case runs leaves them out of its
-    part weights, keeping their dilation shifts.
-    ``dilation_of``/``dilation`` enable the ``dilation`` engine.  A case
-    with ``conventions`` tries each named variant of the B side and asserts
-    that exactly one matches the A side.  ``statistic`` names a textual
-    part-counting rule checked against colour weights by sampling
+    system counting the same objects), or both.  ``erased`` names the
+    variables the identity sets to 1: every system the case runs leaves
+    them out of its part weights, keeping their dilation shifts.  The
+    ``dilation`` engine applies when ``side_b`` is a dilated preset.  A
+    case with ``conventions`` tries each named variant of the B side and
+    asserts that exactly one matches the A side.  ``statistic`` names a
+    textual part-counting rule checked against colour weights by sampling
     (see :func:`check_statistics`).
     """
 
@@ -99,24 +95,16 @@ class IdentityCase:
     side_a: str | None = None
     qmax: int = 30
     degmax: int | None = None
-    relation: Mapping[str, Mapping[str, int]] | None = None
     erased: tuple[str, ...] = ()
-    dilation_of: str | None = None
-    dilation: DilationSpec | None = None
     conventions: Mapping[str, str] | None = None
     statistic: str | None = None
     note: str = ""
-
-    def __post_init__(self):
-        if self.dilation_of is not None and self.dilation is None:
-            raise VerificationError(
-                f"{self.name} names a weighted source but no dilation")
 
     def applicable_engines(self) -> tuple[str, ...]:
         out = ["enum", "recurrence"]
         if self.product is not None:
             out.append("product")
-        if self.dilation_of is not None:
+        if self.side_b in DILATED_PRESETS:
             out.append("dilation")
         return tuple(out)
 
@@ -160,46 +148,28 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _system(name: str, erased: tuple[str, ...],
-            relation: tuple[tuple[str, Monomial], ...]) -> ColouredSystem:
-    """The preset as a case runs it."""
-    return (_case_preset(name, erased, relation) if erased or relation
-            else build_preset(name))
-
-
 @cache
-def _case_preset(name: str, erased: tuple[str, ...],
-                 relation: tuple[tuple[str, Monomial], ...]) -> ColouredSystem:
-    """Built and checked once per key.  Each colour weight takes the
-    related variables' images (under ``c -> ab`` colour c weighs ab), and
-    the erased variables leave the part weights.  Both act only on
-    variables some colour weight carries: no other weight changes, and the
-    constructor refuses erasing another."""
+def _case_preset(name: str, erased: tuple[str, ...]) -> ColouredSystem:
+    """Built and checked once per key.  The erased variables some colour
+    weight carries leave the part weights; the constructor refuses
+    erasing another."""
     sys = build_preset(name)
-    images = dict(relation)
-    colours = tuple(
-        replace(c, weight=prod((images.get(v, Monomial.var(v)) ** e
-                                for v, e in c.weight.items),
-                               start=Monomial.one()))
-        for c in sys.colours)
-    return replace(sys, colours=colours, erased_vars=sys.erased_vars + tuple(
+    return replace(sys, erased_vars=sys.erased_vars + tuple(
         v for v in erased if v in sys.carried_vars))
 
 
 def _engine_series(case: IdentityCase, engine: str, side_b: str,
                    qmax: int, degmax: int | None) -> list[TruncatedSeries]:
     """Every series one engine contributes, with ``side_b`` as the B side."""
-    relation = tuple((v, Monomial.from_dict(mono))
-                     for v, mono in (case.relation or {}).items())
-
     def system(name: str) -> ColouredSystem:
-        return _system(name, case.erased, relation)
+        return (_case_preset(name, case.erased) if case.erased
+                else build_preset(name))
 
     if engine == "product":
         return [product_expand(case.product, qmax, degmax)]
     if engine == "dilation":
-        return [dp_series(system(case.dilation_of), qmax, degmax,
-                          case.dilation)]
+        source, dilation = DILATED_PRESETS[case.side_b]
+        return [dp_series(system(source), qmax, degmax, dilation)]
     run = enumerate_series if engine == "enum" else dp_series
     return [run(system(name), qmax, degmax)
             for name in (side_b, case.side_a) if name is not None]
@@ -385,8 +355,10 @@ def check_statistics(case: IdentityCase | str, samples: int = 200,
 
     The pool is every valid partition of 0 up to the rule's pool cap;
     ``samples`` of them are drawn with the seeded generator (all of them
-    when the pool is smaller).
+    when the pool is smaller); fewer than one sample is refused.
     """
+    if samples < 1:
+        raise VerificationError(f"samples must be at least 1, not {samples}")
     if isinstance(case, str):
         case = identity_case(case)
     if case.statistic is None:
@@ -480,8 +452,6 @@ def identity_cases() -> dict[str, IdentityCase]:
             side_b="siladic-dilated",
             side_a="distinct-odd",
             erased=("a", "b"),
-            dilation_of="siladic-weighted",
-            dilation=preset_dilation("siladic-weighted"),
             qmax=60,
             note="with both colour statistics erased, the gap-5 system with "
                  "mod-8 residue conditions counts partitions into distinct "
@@ -495,14 +465,12 @@ def identity_cases() -> dict[str, IdentityCase]:
                  "two free colours"),
         IdentityCase(
             name="schur-dilated",
-            side_b="schur-dilated-mod3",
+            side_b="schur-dilated",
             product=_mod3_product(),
-            relation={"c": {"a": 1, "b": 1}},
-            dilation_of="schur-weighted",
-            dilation=preset_dilation("schur-weighted"),
             qmax=30,
-            note="mod-3 gap system with the colour relation c = ab vs "
-                 "distinct parts in residue classes 1 and 2 mod 3"),
+            note="mod-3 gap system whose multiples of 3 carry colour ab vs "
+                 "distinct parts in residue classes 1 and 2 mod 3; the m=3 "
+                 "dilation of the three-colour system"),
         IdentityCase(
             name="theorem-3",
             side_b="siladic-weighted",
@@ -516,8 +484,6 @@ def identity_cases() -> dict[str, IdentityCase]:
             name="theorem-4",
             side_b="siladic-dilated",
             product=_mod4_product(),
-            dilation_of="siladic-weighted",
-            dilation=preset_dilation("siladic-weighted"),
             statistic="siladic-mod4",
             qmax=60,
             note="gap-5 system with mod-8 conditions, statistics (u, v) from "
@@ -526,8 +492,6 @@ def identity_cases() -> dict[str, IdentityCase]:
             name="theorem-5",
             side_b="schur-companion",
             product=_mod3_product(),
-            dilation_of="siladic-weighted",
-            dilation=_COMPANION_DILATION,
             statistic="companion-mod6",
             qmax=60,
             note="ordinary/primed system with gaps 4..7 vs distinct parts "
@@ -546,8 +510,6 @@ def identity_cases() -> dict[str, IdentityCase]:
             name="theorem-7",
             side_b="primc-dilated",
             product=_crystal_dilated_product(),
-            dilation_of="primc-weighted",
-            dilation=preset_dilation("primc-weighted"),
             qmax=50,
             note="parity-split crystal system vs the dilated mixed product; "
                  "the m=2 dilation of the four-colour system"),
@@ -556,8 +518,6 @@ def identity_cases() -> dict[str, IdentityCase]:
             side_b="primc-dilated",
             product=_partition_product(),
             erased=("a", "c", "d"),
-            dilation_of="primc-weighted",
-            dilation=preset_dilation("primc-weighted"),
             qmax=40,
             note="with all colour statistics erased, the parity-split "
                  "crystal system counts ordinary partitions"),

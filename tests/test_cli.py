@@ -600,6 +600,7 @@ class TestEulerFactor:
     ["discover", "schur-dilated-mod3", "--primaries", "a,b", "--qmax", "-1"],
     ["enumerate", "schur-weighted", "--qmax", "ten"],
     ["verify", "theorem-4", "--qmax", "8", "--statistics", "--samples", "-1"],
+    ["verify", "theorem-4", "--qmax", "8", "--statistics", "--samples", "0"],
     ["discover", "schur-dilated-mod3", "--primaries", "a,b", "--qmax", "12",
      "--top", "-1"],
 ])

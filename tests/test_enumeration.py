@@ -32,7 +32,7 @@ from wwords.enumeration import (
     partition_weight,
     partitions_by_size,
 )
-from wwords.systems import preset_dilation
+from wwords.systems import DILATED_PRESETS
 
 from helpers import constant, poly, random_system
 
@@ -183,7 +183,7 @@ def test_overpartition_q0_coefficient():
 def test_dilation_commutes_for_five_colour_system():
     qmax = 12
     weighted = enumerate_series(build_preset("siladic-weighted"), qmax)
-    sub = statistic_substitution(preset_dilation("siladic-weighted"))
+    sub = statistic_substitution(DILATED_PRESETS["siladic-dilated"][1])
     dilated_via_sub = substitute(weighted, sub, qmax)
     dilated_direct = enumerate_series(build_preset("siladic-dilated"), qmax)
     assert dilated_via_sub == dilated_direct
@@ -194,7 +194,7 @@ def test_dilation_commutes_for_four_colour_system():
     # erasure must happen after the q-shift, so rebuild the unerased series
     weighted = enumerate_series(
         build_preset("primc-weighted"), qmax)  # b already erased: shift of b is 0
-    sub = statistic_substitution(preset_dilation("primc-weighted"))
+    sub = statistic_substitution(DILATED_PRESETS["primc-dilated"][1])
     dilated_via_sub = substitute(weighted, sub, qmax)
     dilated_direct = enumerate_series(build_preset("primc-dilated"), qmax)
     assert dilated_via_sub == dilated_direct

@@ -1,7 +1,7 @@
 """The registry digest (``tools/registry_digest.py``) hashes the JSON output
-of 95 CLI runs.  Every run must still print what the committed
+of 97 CLI runs.  Every run must still print what the committed
 ``tools/registry_digest.expected`` records, byte for byte, with its exit
-code.  The tool's ``--check`` runs all 95 in one fresh interpreter, away
+code.  The tool's ``--check`` runs all 97 in one fresh interpreter, away
 from the state other tests leave in this one.  The regenerating command is
 in README's Tests section."""
 

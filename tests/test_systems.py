@@ -25,9 +25,9 @@ from wwords import (
 )
 from wwords.systems import (
     CHECK_WINDOW_LIMIT,
+    DILATED_PRESETS,
     andrews_colour_data,
     andrews_colour_label,
-    preset_dilation,
 )
 
 from helpers import erased_zero_system
@@ -82,10 +82,10 @@ def test_domain_validation():
 
 
 ALL_FIXED_PRESETS = [
-    "schur-weighted", "schur-dilated-mod3", "siladic-weighted",
-    "siladic-weighted-convB", "siladic-dilated", "siladic-dilated-free",
-    "schur-companion", "primc-weighted", "primc-dilated",
-    "distinct-odd", "distinct-mod3", "distinct-mod4",
+    "schur-weighted", "schur-dilated", "schur-dilated-mod3",
+    "siladic-weighted", "siladic-weighted-convB", "siladic-dilated",
+    "siladic-dilated-free", "schur-companion", "primc-weighted",
+    "primc-dilated", "distinct-odd", "distinct-mod3", "distinct-mod4",
 ]
 
 
@@ -334,7 +334,7 @@ def test_overline_columns_follow_dilation_and_relabelling():
 
 
 def test_statistic_substitution_matches_dilation_spec():
-    sub = statistic_substitution(preset_dilation("siladic-weighted"))
+    sub = statistic_substitution(DILATED_PRESETS["siladic-dilated"][1])
     assert sub.qpower == 4
     mono, shift = sub.images["a"]
     assert mono == Monomial.var("a") and shift == -3
@@ -342,10 +342,14 @@ def test_statistic_substitution_matches_dilation_spec():
     assert mono == Monomial.var("b") and shift == -1
 
 
-def test_preset_dilation_registry():
-    assert preset_dilation("primc-weighted").modulus == 2
-    with pytest.raises(SystemSpecError):
-        preset_dilation("distinct-odd")
+def test_dilated_preset_registry():
+    assert DILATED_PRESETS["primc-dilated"][1].modulus == 2
+    names = preset_names()
+    for name, (source, _) in DILATED_PRESETS.items():
+        # each is listed and named, and its source is a weighted preset
+        assert name in names and build_preset(name).name == name
+        assert source in names and source not in DILATED_PRESETS
+    assert "distinct-odd" not in DILATED_PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +561,7 @@ def test_free_colour_variant_of_dilated_five_colour_system():
 
 def test_schur_dilated_free_colour_preset_matches_dilated_concrete():
     free = build_preset("schur-dilated-mod3")
-    conc = dilate_system(build_preset("schur-weighted"),
-                         preset_dilation("schur-weighted"))
+    conc = build_preset("schur-dilated")
     relabel = {"a": "a", "b": "b", "ab": "c"}
     for up in ("a", "b", "ab"):
         for low in ("a", "b", "ab"):

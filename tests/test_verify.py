@@ -1,20 +1,16 @@
 """Tests for the identity registry and the multi-engine verifier."""
 
 import dataclasses
-import random
-from collections import Counter
 
 import pytest
 
 import oracles
 from wwords import (
-    ColouredSystem,
     Monomial,
     Polynomial,
     ProductFactor,
     ProductSpec,
     SubstitutionMap,
-    SystemSpecError,
     TruncatedSeries,
     build_preset,
     count_partitions,
@@ -22,9 +18,11 @@ from wwords import (
     dp_series,
     enumerate_series,
     list_partitions,
+    product_expand,
     substitute,
 )
 from wwords import verify
+from wwords.systems import DILATED_PRESETS
 from wwords.verify import (
     ENGINES,
     VerificationError,
@@ -37,7 +35,7 @@ from wwords.verify import (
     verify_identity,
 )
 
-from helpers import cap_degree, constant, random_system
+from helpers import cap_degree, constant
 
 REPORT_KEYS = {"identity", "qmax", "degmax", "engines", "equal",
                "first_mismatch", "conventions", "ms"}
@@ -80,7 +78,7 @@ def test_every_case_builds_and_declares_engines():
         assert set(engines) <= set(ENGINES)
         assert "enum" in engines and "recurrence" in engines
         assert ("product" in engines) == (case.product is not None)
-        assert ("dilation" in engines) == (case.dilation_of is not None)
+        assert ("dilation" in engines) == (case.side_b in DILATED_PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,6 @@ def test_reports_are_reproducible_modulo_duration():
 
 def test_table_of_two_colour_product():
     case = identity_case("theorem-2")
-    from wwords import product_expand
     rows = coefficient_table(product_expand(case.product, 10), 2)
     assert [row["coefficient"] for row in rows] == ["1", "a + b", "a + b + a*b"]
     assert rows[1]["terms"] == [
@@ -360,6 +357,13 @@ def test_statistics_deterministic_and_seedable():
     assert first == second
     other = check_statistics("theorem-4", seed=7, samples=50)
     assert other["ok"] is True and other["samples"] == 50
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_statistics_refuse_fewer_than_one_sample(samples):
+    # no sample would check nothing and still report ok
+    with pytest.raises(VerificationError, match="samples must be at least 1"):
+        check_statistics("theorem-4", samples=samples)
 
 
 def test_misstated_rule_is_reported(monkeypatch):
@@ -484,81 +488,19 @@ def test_dropping_cases_are_listed():
             assert not carried & set(case.erased), name
 
 
-def test_relations_are_b_side_weights():
-    related = {n: c for n, c in identity_cases().items() if c.relation}
-    assert set(related) == {"schur-dilated"}
-    for name, case in related.items():
-        images = [Monomial.from_dict(m) for m in case.relation.values()]
-        # an image of 1 is erasure, which ``erased`` states
-        assert all(m.degree >= 1 for m in images), name
-        assert set(case.relation) <= build_preset(case.side_b).carried_vars
-        # so the relation leaves the A side and the dilation source alone
-        for other in (case.side_a, case.dilation_of):
-            if other is not None:
-                carried = build_preset(other).carried_vars
-                assert not carried & set(case.relation), (name, other)
-
-
-def test_dilations_build_the_b_sides():
-    # a case's dilation is the one its B side was built with: one object,
-    # not a copy; schur-dilated's B side has free colours and a relation
-    dilated = {n: c for n, c in identity_cases().items()
-               if c.dilation_of and n != "schur-dilated"}
-    assert len(dilated) == 5
-    for name, case in dilated.items():
-        b = build_preset(case.side_b)
-        got = dilate_system(build_preset(case.dilation_of), case.dilation)
+def test_dilated_presets_build_the_b_sides():
+    # each dilated preset is its source dilated, up to name and
+    # description, and every case with the dilation engine has one as its
+    # B side, so the engine and the B side share one dilation
+    for name, (source, d) in DILATED_PRESETS.items():
+        b = build_preset(name)
+        got = dilate_system(build_preset(source), d)
         assert dataclasses.replace(got, name=b.name,
                                    description=b.description) == b, name
-
-
-def test_related_weights_give_the_substituted_series(monkeypatch):
-    """Relating variables in the colour weights gives the series of the
-    original system with the relation substituted, exponents included:
-    weights carry a related variable squared, as siladic's a^2 does."""
-    rng = random.Random(1729)
-    systems: dict[str, ColouredSystem] = {}
-    monkeypatch.setattr(verify, "build_preset", systems.__getitem__)
-    seen = Counter()
-    for index in range(120):
-        sys = random_system(rng, index)
-        if sys is None:
-            continue
-        free = sorted(sys.carried_vars - set(sys.erased_vars))
-        if not free:
-            continue
-        related = rng.sample(free, rng.randrange(1, len(free) + 1))
-        square = related[0]
-        sys = dataclasses.replace(sys, colours=tuple(
-            dataclasses.replace(c, weight=c.weight * Monomial.var(square))
-            if c.weight.exponent(square) and rng.random() < 0.5 else c
-            for c in sys.colours))
-        systems[sys.name] = sys
-        pool = [v for v in ("a", "b", "z") if v not in sys.erased_vars]
-        relation = tuple(
-            (v, Monomial.from_dict(Counter(
-                rng.choice(pool) for _ in range(rng.randrange(1, 3)))))
-            for v in related)
-        related_sys = verify._system(sys.name, (), relation)
-        sub = SubstitutionMap(1, {v: (m, 0) for v, m in relation})
-        qmax = rng.randrange(4, 9)
-        for degmax in (None, rng.randrange(1, 5)):
-            for engine in (enumerate_series, dp_series):
-                try:
-                    expected = substitute(engine(sys, qmax, degmax), sub,
-                                          qmax, degmax)
-                except SystemSpecError:
-                    with pytest.raises(SystemSpecError):
-                        engine(related_sys, qmax, degmax)
-                    seen["refused"] += 1
-                    continue
-                assert engine(related_sys, qmax, degmax) == expected, (
-                    sys.to_json(), relation, engine.__name__, qmax, degmax)
-                seen[engine.__name__, degmax is None] += 1
-                seen["squared"] += any(c.weight.exponent(square) > 1
-                                       for c in sys.colours)
-    verify._case_preset.cache_clear()
-    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+    dilated = {n: c.side_b for n, c in identity_cases().items()
+               if "dilation" in c.applicable_engines()}
+    assert len(dilated) == 6
+    assert set(dilated.values()) <= set(DILATED_PRESETS)
 
 
 @pytest.mark.parametrize("name", ["theorem-6", "theorem-7", *DROPPING_CASES])
@@ -583,12 +525,12 @@ def test_explicit_degmax_override_is_reported():
 
 
 def test_relation_substitution_matches_manual_expansion():
-    # the free-colour system with c -> ab equals the mod-3 product; doing
-    # the substitution by hand on the raw series must give the same result
+    # the free-colour system with c -> ab equals the mod-3 product and the
+    # concrete B side; doing the substitution by hand on the raw series
+    # must give the same result
     case = identity_case("schur-dilated")
     raw = enumerate_series(build_preset("schur-dilated-mod3"), 12)
-    from wwords import SubstitutionMap, substitute
     sub = SubstitutionMap(1, {"c": (Monomial.from_dict({"a": 1, "b": 1}), 0)})
     manual = substitute(raw, sub, 12)
-    from wwords import product_expand
     assert manual == product_expand(case.product, 12)
+    assert manual == enumerate_series(build_preset(case.side_b), 12)

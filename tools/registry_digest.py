@@ -1,6 +1,6 @@
 """Digest the JSON output of the registry CLI runs, one line per run.
 
-Runs 95 commands as ``wwords --format json ...`` against a source tree and
+Runs 97 commands as ``wwords --format json ...`` against a source tree and
 prints, for each, the sha256 of its standard output, its exit code and its
 arguments.  Two trees whose lines are identical gave byte-identical JSON
 and the same exit codes on every run:
@@ -19,8 +19,8 @@ and the same exit codes on every run:
   siladic-dilated-free at q24 (the full 59,049-candidate search), on
   schur-weighted at q12 (no free colour) and on schur-dilated-mod3 at q2
   with ``--max-exponent 1`` (a window too short for any period);
-* ``dilate`` on every distinct (system, dilation) pair the identities'
-  dilation engine uses;
+* ``dilate`` on the weighted source and dilation of every dilated preset
+  (``systems.DILATED_PRESETS``), the pairs the dilation engine uses;
 * runs with ``--degmax`` below ``--qmax`` on primc-weighted, which erases
   ``b``: ``verify`` theorem-6 and theorem-7, ``check-eq primc-eg`` and
   ``enumerate``; and on the cases that set colour variables to 1:
@@ -28,9 +28,9 @@ and the same exit codes on every run:
 * runs the engines refuse, each with exit 2 and its error document:
   ``enumerate`` and ``enumerate --list`` on an overpartition family,
   whose size-0 parts need ``--degmax``, without it;
-* ``verify`` on the colour relation c = ab of schur-dilated, capped by
-  ``--degmax`` with every engine and with enumeration against the
-  dilation engine, and on the small-part conventions of theorem-3 with
+* ``verify`` on schur-dilated, whose B side gives the multiples of 3
+  the colour ab, capped by ``--degmax`` with every engine and with
+  enumeration against the dilation engine, and on the small-part conventions of theorem-3 with
   two engines and at ``--qmax 0``, where the conventions cannot be told
   apart (exit 2).
 
@@ -81,7 +81,7 @@ ERASED_CAPPED = (("verify", "theorem-6", "--qmax", "16", "--degmax", "6"),
 REFUSED = (("enumerate", "primary-overpartitions(2)", "--qmax", "6"),
            ("enumerate", "andrews-overpartitions(2)", "--list", "4"))
 
-RELATED_AND_CONVENTIONS = (
+CAPPED_AND_CONVENTIONS = (
     ("verify", "schur-dilated", "--qmax", "30", "--degmax", "6"),
     ("verify", "schur-dilated", "--qmax", "24", "--degmax", "3",
      "--engines", "enum,dilation"),
@@ -92,6 +92,7 @@ RELATED_AND_CONVENTIONS = (
 def _commands(scratch: Path) -> list[tuple[list[str], Path | None]]:
     """(arguments, file to save stdout to or None) for every run, in order."""
     import wwords
+    from wwords.systems import DILATED_PRESETS
 
     cases = wwords.identity_cases()
     presets = [p.replace("(r)", "(2)") for p in wwords.preset_names()]
@@ -112,14 +113,13 @@ def _commands(scratch: Path) -> list[tuple[list[str], Path | None]]:
              for e in wwords.builtin_equations()]
     cmds += [["discover", system, "--primaries", "a,b", "--qmax", q, *more]
              for system, q, *more in DISCOVER]
-    dilations = sorted({
-        (c.dilation_of, c.dilation.modulus,
-         json.dumps(dict(c.dilation.var_shifts), sort_keys=True))
-        for c in cases.values() if c.dilation_of})
+    dilations = sorted(
+        (source, d.modulus, json.dumps(dict(d.var_shifts), sort_keys=True))
+        for source, d in DILATED_PRESETS.values())
     cmds += [["dilate", system, "--modulus", str(m), "--offsets", shifts]
              for system, m, shifts in dilations]
     cmds += [list(cmd)
-             for cmd in ERASED_CAPPED + REFUSED + RELATED_AND_CONVENTIONS]
+             for cmd in ERASED_CAPPED + REFUSED + CAPPED_AND_CONVENTIONS]
     return [(cmd, saved.get(i)) for i, cmd in enumerate(cmds)]
 
 

@@ -40,7 +40,10 @@ factor ``(1 - c*mono*q^n)^|e|`` in one pass; a product expansion
 multiplies before it divides.  The other moves terms: :func:`_map_terms`
 sends each term to a new monomial and power of q, as ``substitute`` and
 ``specialize`` do.  The kernels only ever write into buckets they have
-just made; a series, once built, never changes its buckets.
+just made; a series, once built, never changes its buckets.  An add skips
+an empty source bucket and fills an empty destination bucket by copying or
+storing each term, with no lookups: no caller scales by 0, and
+multiplying by a monomial is one-to-one, so no two terms meet there.
 """
 
 from __future__ import annotations
@@ -349,6 +352,14 @@ def _add_bucket(dst: dict, src: dict, mono: Monomial, coeff: int,
     """dst += coeff * mono * src over the monomials of src with degree at
     most limit (None: all of them)."""
     code, interned = mono._code, _INTERNED
+    if not dst:
+        # m -> mono * m is one-to-one and coeff is never 0, so no two
+        # terms meet and none cancels
+        for m, c in src.items():
+            if limit is None or m._degree <= limit:
+                m2 = interned.get(m._code + code) or _of_code(m._code + code)
+                dst[m2] = c * coeff
+        return
     for m, c in src.items():
         if limit is not None and m._degree > limit:
             continue
@@ -367,6 +378,11 @@ def _add_shifted(dst: list[dict], src: list[dict], s: int = 0,
     bucket or above colour degree degmax."""
     if coeff == 1 and not mono._items and degmax is None:
         for bucket, extra in zip(dst[s:], src):
+            if not extra:
+                continue
+            if not bucket:
+                bucket.update(extra)  # copies: dst never shares src's dicts
+                continue
             for m, c in extra.items():
                 v = bucket.get(m, 0) + c
                 if v:

@@ -18,7 +18,9 @@ come): every bucket a later part reads gets every term, and no term is
 built that no part reads.  G_p is the cumulative sum 1 + sum of E at ranks
 <= rank(p), which equation checks look up.  The parts a G covers are a
 prefix of the rank order, so each new G is the nearest shorter cached
-prefix sum plus the E tables in between.
+prefix sum plus the E tables in between.  The total series is the prefix
+over every part, from the same cache: after a check whose G covered the
+whole table it costs nothing more.
 
 The smallest-part order is the same recursion run in reverse rank order,
 each part the new smallest one, with running sums kept per (colour,
@@ -65,7 +67,13 @@ from .algebra import (
     _zero_buckets,
     substitute,
 )
-from .systems import ColouredPart, ColouredSystem, DilationSpec, build_preset
+from .systems import (
+    CHECK_WINDOW_LIMIT,
+    ColouredPart,
+    ColouredSystem,
+    DilationSpec,
+    build_preset,
+)
 
 
 class RecurrenceError(ValueError):
@@ -88,7 +96,8 @@ class RecurrenceState:
     order, which answer G/E lookups; "smallest" builds smallest-part tables
     in reverse rank order, which give only the total series.  G is answered
     from prefix sums of the E tables, cached by the number of parts they
-    cover.  The E tables are whole; the running sums they are built from
+    cover, and the total is the prefix over every part, from the same
+    cache.  The E tables are whole; the running sums they are built from
     hold only the buckets that the parts still to come read (see the
     module docstring).  The parts, weights and grades are
     ``sys.graded_parts(qmax, degmax, dilation)``'s.  A ``dilation``
@@ -119,7 +128,6 @@ class RecurrenceState:
         # each part with g <= qmax and within degmax: its weight and g
         placed = {p: (w, g)
                   for p, w, g in sys.graded_parts(qmax, degmax, self.dilation)}
-        self._total: list[dict] = _one_buckets(qmax)
         parts = list(placed)
         # sign +1 takes parts in rank order, each the new largest part, with
         # the next part below as its neighbour; sign -1 takes them in reverse
@@ -189,12 +197,12 @@ class RecurrenceState:
             if sys.min_gap(p, p) <= 0:
                 _factor_step(E_p, 1, w, g, -1, degmax)
             self._E.append(E_p)
-            _add_shifted(self._total, E_p)
 
     # -- lookups --------------------------------------------------------------
 
     def total_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self._total, self.degmax)
+        """1 plus the E table of every part: the prefix over all of them."""
+        return self._prefix(len(self._E))
 
     def parts(self) -> list[ColouredPart]:
         return list(self._parts)
@@ -225,7 +233,10 @@ class RecurrenceState:
         self.sys.colour(colour)
         key = (self.sys.rank_rule.rank(ColouredPart(size, colour, False)), 1)
         # parts run in rank order, so the parts G covers are a prefix
-        n = bisect_right(self._keys, key)
+        return self._prefix(bisect_right(self._keys, key))
+
+    def _prefix(self, n: int) -> TruncatedSeries:
+        """1 plus the E tables of the first n parts, cached by n."""
         cached = self._g_cache.get(n)
         if cached is None:
             # the nearest shorter cached prefix plus the E tables in between
@@ -548,8 +559,11 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
     changes any more (``_settled_k``) every k repeats that k's verdict, so
     the check stops there.  Below the k under which no term changes either,
     every k repeats kmin's verdict, so when kmin holds the check goes on
-    from there.  The report keeps the requested range.  A given ``state``
-    must have been built for the same system, qmax and degmax."""
+    from there; when kmin fails more than ``CHECK_WINDOW_LIMIT`` values of
+    k below that k, the check raises EquationRangeError instead of listing
+    the same failure at each.  The report keeps the requested range.  A
+    given ``state`` must have been built for the same system, qmax and
+    degmax."""
     if sys is None:
         sys = build_preset(spec.system)
     if kmax is None:
@@ -569,6 +583,11 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
     low = _settled_k(spec, state, top, -1)
     failures = _failures(spec, state, spec.kmin)
     first = spec.kmin if failures or low is None else max(spec.kmin, low)
+    if failures and low is not None and low - spec.kmin > CHECK_WINDOW_LIMIT:
+        raise EquationRangeError(
+            f"equation {spec.name} fails at kmin={spec.kmin}, and so does "
+            f"every k up to the lower stop k={low}: more than "
+            f"{CHECK_WINDOW_LIMIT} values of k; restrict the k range")
     for k in range(first + 1, top + 1):
         failures += _failures(spec, state, k)
     return EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax,

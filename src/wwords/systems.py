@@ -29,7 +29,8 @@ class SystemSpecError(ValueError):
 
 
 #: the most part sizes per colour the validity check walks; a system whose
-#: gaps, moduli, minimum sizes or forbidden parts need more is refused
+#: gaps, moduli, minimum sizes or forbidden parts need more is refused.  An
+#: equation check refuses a failing kmin that many k values repeat beyond this
 CHECK_WINDOW_LIMIT = 1 << 20
 
 

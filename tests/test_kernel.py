@@ -393,21 +393,29 @@ def test_tables_of_both_orders_match_brute_force():
 
 
 def test_lookups_equal_a_fresh_sum_in_any_order():
-    """G and E asked in a shuffled order, twice: each G equals 1 plus the E
-    of every part within its key, and no answer changes after the fact."""
+    """G, E and the total asked in a shuffled order, twice: each G equals 1
+    plus the E of every part within its key, the total equals the DP's of
+    either order, and no answer changes after the fact."""
     rng = random.Random(4242)
     erased_and_capped = 0
     for sys, qmax, degmax in _random_cases(31337):
         state = RecurrenceState(sys, qmax, degmax)
         parts = state.parts()
+        total = dp_series(sys, qmax, degmax)
+        smallest = RecurrenceState(sys, qmax, degmax, "smallest")
+        assert smallest.total_series() == total
         queries = [("E", p.size, p.colour, p.over) for p in parts]
         queries += [("G", size, c.label, False)
                     for size in range(qmax + 1) for c in sys.colours]
+        queries.append(("total", None, None, False))
         first = {}
         for _ in range(2):
             rng.shuffle(queries)
             for kind, size, colour, over in queries:
-                if kind == "E":
+                if kind == "total":
+                    got = state.total_series()
+                    assert got == total, (sys.to_json(), qmax, degmax)
+                elif kind == "E":
                     got = state.E(size, colour, over)
                 else:
                     got = state.G(size, colour)

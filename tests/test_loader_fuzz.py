@@ -197,8 +197,16 @@ def test_huge_kmax_default_ends(tmp_path):
     assert json.loads(out.getvalue())["k_range"] == [1, 10 ** 12]
 
 
-@pytest.mark.parametrize("keep_coefficients,code", [(False, 1), (True, 2)])
-def test_huge_negative_kmin_ends(tmp_path, keep_coefficients, code):
+@pytest.mark.parametrize("keep_coefficients,extra,code,message", [
+    pytest.param(False, [], 1, None, id="False-1"),
+    pytest.param(True, [], 2, "negative at k=-1000000000000", id="True-2"),
+    # a 1 more on the right fails at kmin and at every k below the stop
+    pytest.param(False, [{"kind": "const"}], 2,
+                 "fails at kmin=-1000000000000, and so does every k up to "
+                 "the lower stop k=-1", id="False-const-2"),
+])
+def test_huge_negative_kmin_ends(tmp_path, keep_coefficients, extra, code,
+                                 message):
     # checking each k from -10^12 kept this run from ending; without its
     # coefficients every G below k = 0 is 0, and with them a q^k turns
     # negative at kmin
@@ -206,6 +214,7 @@ def test_huge_negative_kmin_ends(tmp_path, keep_coefficients, code):
     for side in () if keep_coefficients else ("lhs", "rhs"):
         doc[side] = [{n: v for n, v in t.items() if n != "coeff"}
                      for t in doc[side]]
+    doc["rhs"] = doc["rhs"] + extra
     path = tmp_path / "equation.json"
     path.write_text(json.dumps(doc))
     out = io.StringIO()
@@ -217,7 +226,7 @@ def test_huge_negative_kmin_ends(tmp_path, keep_coefficients, code):
         assert report["k_range"] == [-10 ** 12, 15]
         assert report["failures"][0]["k"] == 1
     else:
-        assert "negative at k=-1000000000000" in report["error"]
+        assert message in report["error"]
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))

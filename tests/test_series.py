@@ -11,13 +11,15 @@ from wwords.algebra import (
     SubstitutionMap,
     TruncatedSeries,
     TruncationMismatch,
+    _add_bucket,
+    _add_shifted,
     product_expand,
     substitute,
 )
 
 import pytest
 
-from helpers import cap_degree, constant, poly, series
+from helpers import cap_degree, constant, mono, poly, series
 
 
 def _geom(var: str, n: int, qmax: int) -> TruncatedSeries:
@@ -244,3 +246,41 @@ def test_geometric_sum_term():
         product_expand(at_zero, 5)  # needs degmax
     capped = product_expand(at_zero, 5, degmax=3) - TruncatedSeries.one(5)
     assert capped.coefficient(0) == poly({"a": 1, "a^2": 1, "a^3": 1})
+
+
+
+def test_adds_into_empty_buckets_copy_the_source():
+    # empty source and destination buckets, then the same add into filled
+    # ones, through the plain add and the scaled one
+    src = series({1: {"a": 2, "b^2": -1}, 3: {"1": 3}}, 3)._b
+    kept = [dict(b) for b in src]
+    for s, m, coeff in [(0, "1", 1), (1, "1", 1), (0, "c", -2), (1, "c", 1)]:
+        start = {s + 3: {"a": 1}}
+        dst = series(start, 4)._b
+        for _ in range(2):
+            _add_shifted(dst, src, s, mono(m), coeff)
+        twice = {s + n: {mono(m) * k: 2 * coeff * c for k, c in b.items()}
+                 for n, b in enumerate(kept)}
+        assert TruncatedSeries(dst) == series(twice, 4) + series(start, 4)
+        assert src == kept
+        assert not any(d is b for d in dst for b in src)
+
+
+def test_add_bucket_into_an_empty_dict_keeps_the_degree_window():
+    src = series({0: {"1": 1, "a": 2, "a^2*b": 3, "b^3": -4}}, 0)._b[0]
+    for limit, expected in [(None, {"a": -3, "a^2": -6, "a^3*b": -9,
+                                    "a*b^3": 12}),
+                            (1, {"a": -3, "a^2": -6}), (-1, {})]:
+        dst = {}
+        _add_bucket(dst, src, mono("a"), -3, limit)
+        assert dst == series({0: expected}, 0)._b[0]
+
+
+def test_cancelling_adds_leave_no_zero_coefficient():
+    dst = series({0: {"a": 2, "b": 1}}, 0)._b[0]
+    _add_bucket(dst, series({0: {"1": 1, "b": 1}}, 0)._b[0], mono("a"), -2,
+                None)
+    assert dst == series({0: {"b": 1, "a*b": -2}}, 0)._b[0]
+    buckets = series({0: {"a": 1, "b": 1}, 1: {"a": -1}}, 1)._b
+    _add_shifted(buckets, series({0: {"a": -1}, 1: {"a": 1}}, 1)._b)
+    assert buckets == series({0: {"b": 1}}, 1)._b

@@ -25,9 +25,9 @@ the first time it is seen.  Every exponent is below ``EXPONENT_BOUND`` =
 2^FIELD_BITS and cannot carry into the next one: the sum is the code of
 the product, and a product is one int addition and one lookup in the
 intern table, with no cache of products beside it.  A code the table does
-not hold goes through :func:`_of_code`, which splits it into its fields
-and hands them to the constructor; the constructor refuses an exponent at
-the bound with :class:`AlgebraError`.  With weights of exponent 1, as in every
+not hold goes through :func:`_of_code`, which splits it into its nonzero
+fields and interns it; the constructor refuses an exponent at the bound
+with :class:`AlgebraError`.  With weights of exponent 1, as in every
 registered system, reaching the bound takes more than 2^31 parts, far past
 any truncation order the engines can run.
 
@@ -114,6 +114,8 @@ FIELD_BITS = 32
 EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
 #: the bit offset of each variable's field, assigned when the name is first seen
 _FIELDS: dict[str, int] = {}
+#: the names of _FIELDS in field order: the field at offset i*FIELD_BITS is _NAMES[i]
+_NAMES: list[str] = []
 #: the one instance of each monomial, by its packed exponent code
 _INTERNED: dict[int, "Monomial"] = {}
 
@@ -135,7 +137,7 @@ class Monomial:
     ``2**FIELD_BITS`` and no carry reaches the next field: the sum is the
     product's code, and the product of two interned monomials is one int
     addition and one lookup.  A code the table does not hold goes through
-    :func:`_of_code`, which checks it with the constructor.
+    :func:`_of_code`, which interns it.
     """
 
     __slots__ = ("_items", "_code", "_degree")
@@ -157,15 +159,10 @@ class Monomial:
                     f"exponent {merged[name]} of variable {name!r} is not below 2^{FIELD_BITS - 1}")
             offset = _FIELDS.get(name)
             if offset is None:
-                offset = _FIELDS[name] = len(_FIELDS) * FIELD_BITS
+                offset = _FIELDS[name] = len(_NAMES) * FIELD_BITS
+                _NAMES.append(name)
             code += exp << offset
-        mono = _INTERNED.get(code)
-        if mono is None:
-            mono = _INTERNED[code] = object.__new__(cls)
-            mono._items = tuple(sorted(merged.items()))
-            mono._code = code
-            mono._degree = sum(merged.values())
-        return mono
+        return _of_code(code)
 
     def __reduce__(self):
         # pickle, copy and deepcopy all rebuild through the constructor
@@ -233,29 +230,32 @@ class Monomial:
         return {n: e for n, e in self._items}
 
 
-_MONOMIAL_ONE = Monomial()
-
-
 def _of_code(code: int) -> Monomial:
     """The interned monomial of a packed code.
 
     No field of code may have carried into the next one, as holds for the
     sum of two codes, for code * k when the degree times k is below the
     bound, and for the enumeration's walk.  A code that no monomial holds
-    yet is split into its fields, which go through the constructor: a
-    field at or above the bound raises there.
+    yet is split into its nonzero fields, lowest first, and interned; a
+    field at or above the bound goes to the constructor, which raises.
     """
-    mono = _INTERNED.get(code)
-    if mono is not None:
+    if (mono := _INTERNED.get(code)) is not None:
         return mono
-    field, items = (1 << FIELD_BITS) - 1, []
-    for name in _FIELDS:  # the field at offset i*FIELD_BITS is the i-th name
-        if not code:
-            break
-        if exp := code & field:
-            items.append((name, exp))
-        code >>= FIELD_BITS
-    return Monomial(items)
+    items, degree, rest = [], 0, code
+    while rest:
+        i = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+        exp = rest >> i * FIELD_BITS & (1 << FIELD_BITS) - 1
+        items.append((_NAMES[i], exp))
+        degree += exp
+        rest ^= exp << i * FIELD_BITS
+    if degree >= EXPONENT_BOUND and max(e for _, e in items) >= EXPONENT_BOUND:
+        return Monomial(items)
+    mono = _INTERNED[code] = object.__new__(Monomial)
+    mono._items, mono._code, mono._degree = tuple(sorted(items)), code, degree
+    return mono
+
+
+_MONOMIAL_ONE = Monomial()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ not yet understood:
   series and decides whether the factor exponents settle into a repeating
   pattern ``table[n] == table[n + m]`` past a short initial segment.  When
   they do, it packages the pattern as a :class:`~wwords.algebra.ProductSpec`
-  and re-expands it; a pattern is returned only if the re-expansion
-  reproduces the input exactly, so a recognized pattern is always sound
+  and divides the series by it, degree by degree; a pattern is returned
+  only if exactly 1 is left, so a recognized pattern is always sound
   (recognition may fail, but it may not lie).
 
 * :func:`search_relations` hunts for monomial substitutions of a system's
@@ -44,8 +44,9 @@ from .algebra import (
     ProductSpec,
     SubstitutionMap,
     TruncatedSeries,
+    _factor_step,
+    _one_buckets,
     euler_factorize,
-    product_expand,
     substitute,
 )
 from .enumeration import enumerate_series
@@ -135,17 +136,29 @@ def _pattern_factors(rows: Sequence[Mapping[Monomial, int]],
     return factors
 
 
+def _equals_product(f: TruncatedSeries, spec: ProductSpec) -> bool:
+    """Whether f divided by every factor of spec, degree by degree and in
+    spec order within a degree, is exactly 1: the product is a unit and the
+    truncation, ``f.degmax`` included, is exact, so this is f == product.
+    A pattern's steps follow euler_factorize's, so the remainder shrinks."""
+    rem = [dict(b) for b in f._b]
+    for n in range(f.qmax + 1):
+        for fac in spec.factors:
+            if n >= fac.start and (n - fac.start) % fac.mod == 0:
+                _factor_step(rem, fac.sign, fac.mono, n, fac.power, f.degmax)
+    return rem == _one_buckets(f.qmax)
+
+
 def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
     """Recognize a periodic infinite-product shape in a series.
 
     The series is Euler-factorized (its constant term must be 1) and the
     factor exponents at each ``q`` power are tested for periodicity.  On
-    success the periodic pattern is re-expanded and compared against the
-    input on the whole window; ``None`` is returned when no period is found
-    *or* when the re-expansion check fails, so any returned pattern is a
-    proven product representation up to the truncation order.  The window
-    is the series' own, ``0..f.qmax``: to recognize a shorter window, pass
-    ``f.truncate(n)``.
+    success the input is divided by the pattern (:func:`_equals_product`);
+    ``None`` is returned when no period is found *or* when anything but 1
+    is left, so any returned pattern is a proven product representation up
+    to the truncation order.  The window is the series' own,
+    ``0..f.qmax``: to recognize a shorter window, pass ``f.truncate(n)``.
     """
     qmax = f.qmax
     # euler_factorize lists each (mono, n) once, with e != 0 and n <= qmax
@@ -159,10 +172,8 @@ def recognize_periodic_product(f: TruncatedSeries) -> PeriodicPattern | None:
         return None
     m, s = found[0]
     spec = ProductSpec(_pattern_factors(rows, m, s))
-    if product_expand(spec, qmax, f.degmax) != f:
-        return None
     nfactors = sum(len(rows[p]) for p in range(s + 1, s + m + 1))
-    return PeriodicPattern(m, s, spec, nfactors)
+    return PeriodicPattern(m, s, spec, nfactors) if _equals_product(f, spec) else None
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +320,8 @@ def search_relations(system: ColouredSystem,
     in the same order, since a factor step writes no bucket below its own
     degree.  Candidates that pass the filter are substituted on the whole
     window and passed to :func:`recognize_periodic_product`, which
-    factorizes and re-expands each one to order ``qmax``; product-like
-    candidates carry the :class:`PeriodicPattern` it returns.
+    factorizes each one to order ``qmax`` and divides it by its pattern;
+    product-like candidates carry the :class:`PeriodicPattern` it returns.
 
     Candidates are returned sorted best first: product-like before not,
     fewer factor families per period before more, and enumeration order

@@ -561,7 +561,8 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
     every k repeats kmin's verdict, so when kmin holds the check goes on
     from there; when kmin fails more than ``CHECK_WINDOW_LIMIT`` values of
     k below that k, the check raises EquationRangeError instead of listing
-    the same failure at each.  The report keeps the requested range.  A
+    the same failure at each, and also when more than that many distinct k
+    lie below the upper stop.  The report keeps the requested range.  A
     given ``state`` must have been built for the same system, qmax and
     degmax."""
     if sys is None:
@@ -588,6 +589,10 @@ def check_equation(spec: EquationSpec, sys: ColouredSystem | None = None,
             f"equation {spec.name} fails at kmin={spec.kmin}, and so does "
             f"every k up to the lower stop k={low}: more than "
             f"{CHECK_WINDOW_LIMIT} values of k; restrict the k range")
+    if settled is not None and top - first > CHECK_WINDOW_LIMIT:
+        raise EquationRangeError(
+            f"equation {spec.name} has more than {CHECK_WINDOW_LIMIT} values of k to check "
+            f"between k={first} and the upper stop k={top}; restrict the k range")
     for k in range(first + 1, top + 1):
         failures += _failures(spec, state, k)
     return EquationReport(spec.name, sys.name, spec.kmin, kmax, qmax,

@@ -98,7 +98,6 @@ class IdentityCase:
     erased: tuple[str, ...] = ()
     conventions: Mapping[str, str] | None = None
     statistic: str | None = None
-    note: str = ""
 
     def applicable_engines(self) -> tuple[str, ...]:
         out = ["enum", "recurrence"]
@@ -447,92 +446,76 @@ def _partition_product() -> ProductSpec:
 def identity_cases() -> dict[str, IdentityCase]:
     """The registry, keyed by case name, in documentation order."""
     cases = [
+        # both colour statistics erased, the gap-5 mod-8 system counts distinct odd parts
         IdentityCase(
             name="theorem-1",
             side_b="siladic-dilated",
             side_a="distinct-odd",
             erased=("a", "b"),
-            qmax=60,
-            note="with both colour statistics erased, the gap-5 system with "
-                 "mod-8 residue conditions counts partitions into distinct "
-                 "odd parts"),
+            qmax=60),
+        # three-colour distinct-part system vs distinct parts in two free colours
         IdentityCase(
             name="theorem-2",
             side_b="schur-weighted",
             product=_two_colour_product(),
-            qmax=30,
-            note="three-colour distinct-part system vs distinct parts in "
-                 "two free colours"),
+            qmax=30),
+        # mod-3 gap system, the m=3 dilation of theorem-2's, vs distinct parts = 1, 2 mod 3
         IdentityCase(
             name="schur-dilated",
             side_b="schur-dilated",
             product=_mod3_product(),
-            qmax=30,
-            note="mod-3 gap system whose multiples of 3 carry colour ab vs "
-                 "distinct parts in residue classes 1 and 2 mod 3; the m=3 "
-                 "dilation of the three-colour system"),
+            qmax=30),
+        # five-colour parity-gap system vs distinct parts in two free colours; one convention works
         IdentityCase(
             name="theorem-3",
             side_b="siladic-weighted",
             product=_two_colour_product(),
             conventions={"A": "siladic-weighted",
                          "B": "siladic-weighted-convB"},
-            qmax=30,
-            note="five-colour parity-gap system vs distinct parts in two "
-                 "free colours; exactly one small-part convention works"),
+            qmax=30),
+        # gap-5 mod-8 system, statistics (u, v) from part residues, vs distinct parts = 1, 3 mod 4
         IdentityCase(
             name="theorem-4",
             side_b="siladic-dilated",
             product=_mod4_product(),
             statistic="siladic-mod4",
-            qmax=60,
-            note="gap-5 system with mod-8 conditions, statistics (u, v) from "
-                 "part residues, vs distinct parts = 1 and = 3 mod 4"),
+            qmax=60),
+        # ordinary/primed gaps 4..7, the m=3 dilation of theorem-3's, vs distinct parts = 1, 2 mod 3
         IdentityCase(
             name="theorem-5",
             side_b="schur-companion",
             product=_mod3_product(),
             statistic="companion-mod6",
-            qmax=60,
-            note="ordinary/primed system with gaps 4..7 vs distinct parts "
-                 "= 1 and = 2 mod 3; the m=3 dilation of the five-colour "
-                 "system"),
+            qmax=60),
+        # four-colour crystal system (b erased) vs the product: numerators a, d, denominators 1, c
         IdentityCase(
             name="theorem-6",
             side_b="primc-weighted",
             product=_crystal_product(),
             qmax=25,
-            degmax=25,
-            note="four-colour crystal system (b erased) vs the mixed "
-                 "product with numerator colours a, d and denominator "
-                 "colours 1, c"),
+            degmax=25),
+        # parity-split crystal system vs the dilated mixed product (m=2 dilation of theorem-6)
         IdentityCase(
             name="theorem-7",
             side_b="primc-dilated",
             product=_crystal_dilated_product(),
-            qmax=50,
-            note="parity-split crystal system vs the dilated mixed product; "
-                 "the m=2 dilation of the four-colour system"),
+            qmax=50),
+        # all colour statistics erased, the parity-split crystal system counts ordinary partitions
         IdentityCase(
             name="primc-conjecture",
             side_b="primc-dilated",
             product=_partition_product(),
             erased=("a", "c", "d"),
-            qmax=40,
-            note="with all colour statistics erased, the parity-split "
-                 "crystal system counts ordinary partitions"),
+            qmax=40),
     ]
+    # 2^r - 1 composite colours, gaps w + chi - 1 + delta, vs overpartitions in r primary colours
     for r, qm, dm in ((1, 12, 8), (2, 12, 8), (3, 10, 6)):
         cases.append(IdentityCase(
             name=f"theorem-8-r{r}",
             side_b=f"andrews-overpartitions({r})",
             side_a=f"primary-overpartitions({r})",
             qmax=qm,
-            degmax=dm,
-            note=f"overpartitions in {2 ** r - 1} composite colours with the "
-                 "w + chi - 1 + delta gaps vs unrestricted overpartitions "
-                 f"in {r} primary colours, graded by colour counts and "
-                 "non-overlined parts"))
+            degmax=dm))
     return {c.name: c for c in cases}
 
 

@@ -1,5 +1,6 @@
 """Tests for periodic-product recognition and colour-relation search."""
 
+import dataclasses
 import itertools
 import random
 
@@ -127,13 +128,41 @@ class TestRecognizePeriodicProduct:
 
     def test_re_expansion_refuses_a_wrong_pattern(self, monkeypatch):
         # offered the wrong pair (1, 0) first, the recognizer builds its
-        # pattern, re-expands it, sees the mismatch and claims nothing
+        # pattern, divides the series by it, is left with more than 1 and
+        # claims nothing
         f = product_expand(identity_case("theorem-2").product, 24)
         assert recognize_periodic_product(f).period == 2
         periods = discovery._periods
         monkeypatch.setattr(discovery, "_periods", lambda rows, pairs, upto:
                             [(1, 0), *periods(rows, pairs, upto)])
         assert recognize_periodic_product(f) is None
+
+    @pytest.mark.parametrize("name, degmax", [
+        *((name, None) for name in (
+            "theorem-2", "schur-dilated", "theorem-3", "theorem-4", "theorem-5",
+            "theorem-6", "theorem-7", "primc-conjecture")),
+        ("theorem-6", identity_case("theorem-6").degmax),
+    ])
+    def test_division_check_agrees_with_re_expansion(self, name, degmax):
+        qmax = 24
+        f = product_expand(identity_case(name).product, qmax, degmax)
+        spec = recognize_periodic_product(f).spec
+        assert discovery._equals_product(f, spec)
+        assert product_expand(spec, qmax, degmax) == f
+        factors = list(spec.factors)
+        mutants = []
+        for i in {0, len(factors) - 1}:
+            fac, rest = factors[i], factors[:i] + factors[i + 1:]
+            mutants += [rest,
+                        [*rest, dataclasses.replace(fac, start=fac.start + 1)],
+                        [*rest, dataclasses.replace(fac, power=-fac.power)]]
+        # one more factor at q^qmax changes the last coefficient only
+        last = [*factors, ProductFactor(1, Monomial.one(), qmax, 1, 1)]
+        assert (product_expand(ProductSpec(last), qmax, degmax).truncate(qmax - 1)
+                == f.truncate(qmax - 1))
+        for mutant in map(ProductSpec, [*mutants, last]):
+            assert not discovery._equals_product(f, mutant)
+            assert product_expand(mutant, qmax, degmax) != f
 
     def test_non_unit_constant_term_raises(self):
         f = TruncatedSeries.one(10) + TruncatedSeries.one(10)

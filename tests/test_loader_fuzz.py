@@ -197,6 +197,21 @@ def test_huge_kmax_default_ends(tmp_path):
     assert json.loads(out.getvalue())["k_range"] == [1, 10 ** 12]
 
 
+def test_far_apart_stops_end(tmp_path):
+    # a G at k - 10^7 settles only near k = 10^7, and each k up to there
+    # is a distinct check
+    doc = {**DOCUMENTS["equation-uncapped"][0], "kmax_default": 10 ** 12}
+    doc["rhs"] = [doc["rhs"][0], {**doc["rhs"][1], "size": [1, -10 ** 7]}]
+    path = tmp_path / "equation.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert _run_bounded(["--format", "json", "check-eq", str(path),
+                             "--qmax", "4"]) == 2
+    assert ("more than 1048576 values of k to check between k=1 and the "
+            "upper stop k=10000005") in json.loads(out.getvalue())["error"]
+
+
 @pytest.mark.parametrize("keep_coefficients,extra,code,message", [
     pytest.param(False, [], 1, None, id="False-1"),
     pytest.param(True, [], 2, "negative at k=-1000000000000", id="True-2"),

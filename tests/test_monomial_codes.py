@@ -45,12 +45,12 @@ exponents = (st.integers(0, EXPONENT_BOUND - 1) | st.sampled_from(NEAR_BOUND)
 @contextmanager
 def fresh_codes():
     """Empty name and intern tables for one example, restored afterwards."""
-    saved = algebra._FIELDS, algebra._INTERNED
-    algebra._FIELDS, algebra._INTERNED = {}, {0: Monomial.one()}
+    saved = algebra._FIELDS, algebra._NAMES, algebra._INTERNED
+    algebra._FIELDS, algebra._NAMES, algebra._INTERNED = {}, [], {0: Monomial.one()}
     try:
         yield
     finally:
-        algebra._FIELDS, algebra._INTERNED = saved
+        algebra._FIELDS, algebra._NAMES, algebra._INTERNED = saved
 
 
 @st.composite
